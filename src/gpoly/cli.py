@@ -2,11 +2,11 @@
 Monte Carlo experiments, and the verification suite.
 
 Every command is a pure function of its flags and seed: rerunning with the
-same arguments produces byte-identical primary output regardless of worker
-count. Primary output (JSON or CSV) goes to stdout, or to --out when given;
-writing to --out also appends a run record (with timestamps and an output
-digest) to runs.jsonl next to the output file. Exit codes: 0 success,
-1 verification failure, 2 usage error.
+same arguments produces byte-identical primary output (``--workers`` and
+GPOLY_WORKERS are accepted and ignored). Primary output (JSON or CSV) goes
+to stdout, or to --out when given; writing to --out also appends a run
+record (with timestamps and an output digest) to runs.jsonl next to the
+output file. Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -30,6 +30,9 @@ _VERIFY_SUITES = ("all", "blaschke", "simplex", "truncated", "logconcave",
 
 _REDUCTION_CASES = ((2, 5, 0), (2, 5, 1), (3, 6, 0), (4, 8, 2))
 
+_WORKERS_HELP = ("accepted for compatibility and ignored: Monte Carlo runs "
+                 "are single-threaded")
+
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -50,16 +53,6 @@ def _jsonable(obj):
 def _dump_json(payload: dict) -> str:
     return json.dumps(_jsonable(payload), sort_keys=True, indent=2,
                       separators=(",", ": ")) + "\n"
-
-
-def _default_workers() -> int:
-    env = os.environ.get("GPOLY_WORKERS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _positive_int(text: str) -> int:
@@ -156,7 +149,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-k", action="store_true", dest="all_k")
     p.add_argument("--trials", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_kfacets)
 
@@ -173,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_positive_int, required=True)
     p.add_argument("--trials", type=_positive_int, default=100000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_estranged)
 
@@ -183,7 +176,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=100000,
                    help="MC trials per check (the reduced scalar experiment "
                         "uses 10x this)")
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -194,7 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-mode", choices=("min", "middle"), default="min")
     p.add_argument("--trials", type=_positive_int, default=2000)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--workers", type=_positive_int, default=None)
+    p.add_argument("--workers", type=_positive_int, help=_WORKERS_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_growth)
 
@@ -228,7 +221,6 @@ def cmd_kfacets(args) -> int:
     for k in ks:
         if not 0 <= k <= args.n - args.d:
             raise SystemExit(_usage_error(f"k = {k} outside 0..{args.n - args.d}"))
-    workers = args.workers or _default_workers()
     params = {"mode": args.mode, "n": args.n, "d": args.d,
               "k": None if args.all_k else args.k, "all_k": args.all_k,
               "seed": args.seed,
@@ -238,26 +230,25 @@ def cmd_kfacets(args) -> int:
     results = []
     if args.mode == "mc" and args.all_k:
         ests = experiments.kfacet_profile_expectation_mc(
-            args.n, args.d, args.trials, args.seed, workers=workers)
+            args.n, args.d, args.trials, args.seed)
         results = [{"k": k, "expectation": est.as_dict()}
                    for k, est in enumerate(ests)]
     else:
         for k in ks:
             if args.mode == "exact":
-                results.append({
-                    "k": k,
-                    "probability": theory.kfacet_probability_exact(args.n, args.d, k),
-                    "expectation": theory.kfacet_expectation_exact(args.n, args.d, k),
-                    "log_expectation": theory.kfacet_log_expectation_exact(
-                        args.n, args.d, k),
-                })
+                p = theory.kfacet_probability_exact(args.n, args.d, k)
+                log_e = theory.kfacet_log_expectation_from_probability(
+                    args.n, args.d, p)
+                results.append({"k": k, "probability": p,
+                                "expectation": math.exp(log_e),
+                                "log_expectation": log_e})
             elif args.mode == "mc":
                 est = experiments.kfacet_expectation_mc(
-                    args.n, args.d, k, args.trials, args.seed, workers=workers)
+                    args.n, args.d, k, args.trials, args.seed)
                 results.append({"k": k, "expectation": est.as_dict()})
             else:
                 est = experiments.reduced_kfacet_probability_mc(
-                    args.n, args.d, k, args.trials, args.seed, workers=workers)
+                    args.n, args.d, k, args.trials, args.seed)
                 scale = math.comb(args.n, args.d)
                 results.append({
                     "k": k, "probability": est.as_dict(),
@@ -300,17 +291,16 @@ def cmd_constants(args) -> int:
 
 
 def cmd_estranged(args) -> int:
-    workers = args.workers or _default_workers()
     params = {"mode": args.mode, "d": args.d, "trials": args.trials,
               "seed": args.seed}
     record = _start_record(args, "estranged", params)
     try:
         if args.mode == "mc":
             est = experiments.estranged_expectation_mc(
-                args.d, args.trials, args.seed, workers=workers)
+                args.d, args.trials, args.seed)
         else:
             est = experiments.pair_facet_probability_mc(
-                args.d, args.trials, args.seed, workers=workers)
+                args.d, args.trials, args.seed)
     except experiments.ResourceCapError as exc:
         raise SystemExit(_usage_error(str(exc)))
     root = est.mean ** (1.0 / args.d) if est.mean > 0 else 0.0
@@ -323,46 +313,45 @@ def cmd_estranged(args) -> int:
     return 0
 
 
-def _suite_checks(suite: str, seed: int, trials: int, workers: int):
+def _suite_checks(suite: str, seed: int, trials: int):
     checks = []
     if suite in ("all", "blaschke"):
         for d in (1, 2, 3, 4, 5):
             checks.append(experiments.verify_blaschke(
-                d, trials, seed, "gaussian", workers))
+                d, trials, seed, "gaussian"))
         for d in (2, 3):
             checks.append(experiments.verify_blaschke(
-                d, trials, seed + 1, "uniform-cube", workers))
+                d, trials, seed + 1, "uniform-cube"))
     if suite in ("all", "simplex"):
         for d in (1, 2, 3, 4, 5, 6):
             checks.append(experiments.verify_simplex_volume(
-                d, trials, seed, workers))
+                d, trials, seed))
     if suite in ("all", "truncated"):
         for d in (3, 4, 5, 6, 7, 8):
             for t in (0.0, 0.5, 2.0):
                 checks.append(experiments.verify_truncated_bound(
-                    d, t, max(trials // 5, 2), seed, workers))
+                    d, t, max(trials // 5, 2), seed))
     if suite in ("all", "logconcave"):
         for family in experiments.LOGCONCAVE_FAMILIES:
             checks.append(experiments.verify_logconcave_moment(
-                family, trials, seed, workers))
+                family, trials, seed))
     if suite in ("all", "dotdensity"):
         for d in (2, 3, 8):
             checks.append(experiments.verify_dot_density(
-                d, trials, seed, workers))
+                d, trials, seed))
     if suite in ("all", "lp"):
         checks.append(experiments.verify_lp_limit())
     if suite in ("all", "thm32"):
         for d, n, k in _REDUCTION_CASES:
             checks.append(experiments.verify_kfacet_reduction(
-                n, d, k, trials, 10 * trials, seed, workers))
+                n, d, k, trials, 10 * trials, seed))
     return checks
 
 
 def cmd_verify(args) -> int:
-    workers = args.workers or _default_workers()
     params = {"suite": args.suite, "seed": args.seed, "trials": args.trials}
     record = _start_record(args, "verify", params)
-    checks = _suite_checks(args.suite, args.seed, args.trials, workers)
+    checks = _suite_checks(args.suite, args.seed, args.trials)
     passed = all(c.passed for c in checks)
     payload = {"command": "verify", "params": params,
                "checks": [c.as_dict() for c in checks],
@@ -380,14 +369,13 @@ def cmd_growth(args) -> int:
         raise SystemExit(_usage_error("need alpha > 1"))
     if args.d_max < args.d_min:
         raise SystemExit(_usage_error("need d-max >= d-min"))
-    workers = args.workers or _default_workers()
     params = {"alpha": args.alpha, "d_min": args.d_min, "d_max": args.d_max,
               "k_mode": args.k_mode, "trials": args.trials, "seed": args.seed}
     record = _start_record(args, "growth", params)
     try:
         rows = experiments.facet_growth_table(
             args.alpha, range(args.d_min, args.d_max + 1), args.trials,
-            args.seed, workers=workers, k_mode=args.k_mode)
+            args.seed, k_mode=args.k_mode)
     except experiments.ResourceCapError as exc:
         raise SystemExit(_usage_error(str(exc)))
     buf = io.StringIO()

@@ -1,17 +1,21 @@
 """Monte Carlo harness and the verification suite.
 
-Trial i of any experiment consumes the stream keyed by (master_seed, i), so
-results are bit-identical for any worker count: accumulation is single-pass
-Welford within fixed-size chunks, and chunk statistics are merged by a
-pairwise tree in trial-index order. The verify_* operations each encode one
-literal inequality or |z| <= 3 agreement test between simulation and a
-closed form.
+One chunk routine runs every experiment in three steps. Draws are per trial:
+trial i draws its row from the stream keyed by (master_seed, i), so any
+trial can be reproduced in isolation. Kernels are per block: the rows of
+SUB_BLOCK consecutive trials are stacked and mapped by one vectorised call
+to one value (or one vector of values) per trial. Statistics are per chunk:
+each CHUNK of trials is reduced to (count, mean, M2) with numpy, and the
+chunk statistics are merged by a pairwise tree in trial-index order
+(Chan, Golub and LeVeque). Runs are single-threaded, and their results
+depend only on the seed and the trial count. The verify_* operations each
+encode one literal inequality or |z| <= 3 agreement test between simulation
+and a closed form.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -21,7 +25,8 @@ from . import geometry, theory
 from .mathcore import integrate_1d, simplex_volume
 from .sampling import RngStream, _truncated_coords
 
-CHUNK = 4096
+CHUNK = 4096  # trials reduced to one (count, mean, M2) before the merge
+SUB_BLOCK = 512  # rows stacked per kernel call
 SUBSET_CAP = 200_000
 Z_THRESHOLD = 3.0
 
@@ -49,7 +54,8 @@ class MCEstimate:
     ci95: tuple[float, float]
 
     @classmethod
-    def from_welford(cls, count: int, mean: float, m2: float) -> "MCEstimate":
+    def from_moments(cls, count: int, mean: float, m2: float) -> "MCEstimate":
+        """From the count, the mean and the summed squared deviations."""
         variance = m2 / (count - 1)
         std_error = math.sqrt(variance / count)
         return cls(mean=mean, variance=variance, trials=count,
@@ -82,40 +88,53 @@ class VerificationReport:
                 "passed": self.passed, "details": self.details}
 
 
-def _run_chunk(trial, master_seed: int, lo: int, hi: int):
-    s = RngStream(master_seed, lo)
-    count = 0
-    mean = 0.0
-    m2 = 0.0
-    for i in range(lo, hi):
-        s.reset(master_seed, i)
-        try:
-            x = float(trial(s))
-        except Exception as exc:
-            raise TrialError(i, exc) from exc
-        count += 1
-        delta = x - mean
-        mean += delta / count
-        m2 += delta * (x - mean)
-    return count, mean, m2
+Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _run_chunk_vector(trial, master_seed: int, lo: int, hi: int, width: int):
+class RowError(Exception):
+    """Raised by a batched kernel that rejects one row of its block."""
+
+    def __init__(self, row: int, cause: BaseException):
+        super().__init__(f"row {row}: {cause}")
+        self.row = row
+        self.cause = cause
+
+
+def _identity(block: np.ndarray) -> np.ndarray:
+    return block
+
+
+def _run_chunk(draw, kernel, width: int, master_seed: int, lo: int, hi: int):
+    """(count, mean, M2) of trials lo..hi-1, each of shape (width,).
+
+    Trial i draws its row from stream(master_seed, i); every SUB_BLOCK rows
+    are stacked and mapped by one kernel call.
+    """
     s = RngStream(master_seed, lo)
-    count = 0
-    mean = np.zeros(width)
-    m2 = np.zeros(width)
-    for i in range(lo, hi):
-        s.reset(master_seed, i)
+    values = np.empty((hi - lo, width))
+    for a in range(lo, hi, SUB_BLOCK):
+        b = min(a + SUB_BLOCK, hi)
+        rows = []
+        for i in range(a, b):
+            s.reset(master_seed, i)
+            try:
+                rows.append(draw(s))
+            except Exception as exc:
+                raise TrialError(i, exc) from exc
         try:
-            x = np.asarray(trial(s), dtype=float)
-        except Exception as exc:
-            raise TrialError(i, exc) from exc
-        count += 1
-        delta = x - mean
-        mean += delta / count
-        m2 += delta * (x - mean)
-    return count, mean, m2
+            out = np.asarray(kernel(np.array(rows, dtype=float)), dtype=float)
+        except RowError as err:
+            raise TrialError(a + err.row, err.cause) from err.cause
+        if out.shape != (b - a, width) and \
+                not (width == 1 and out.shape == (b - a,)):
+            raise ValueError(f"kernel returned shape {out.shape} for "
+                             f"{b - a} trials of width {width}")
+        values[a - lo:b - lo] = out.reshape(b - a, width)
+    # One contiguous row per component, so each reduces by pairwise sums.
+    values = np.ascontiguousarray(values.T)
+    mean = values.sum(axis=1) / (hi - lo)
+    m2 = np.square(values - mean[:, None]).sum(axis=1)
+    return hi - lo, mean, m2
 
 
 def _merge_stats(a, b):
@@ -130,7 +149,7 @@ def _merge_stats(a, b):
 
 def _tree_merge(stats):
     """Pairwise merge in index order; the tree shape depends only on the
-    chunk count, never on the worker count."""
+    chunk count."""
     while len(stats) > 1:
         merged = [_merge_stats(stats[i], stats[i + 1])
                   for i in range(0, len(stats) - 1, 2)]
@@ -140,42 +159,34 @@ def _tree_merge(stats):
     return stats[0]
 
 
-def _run_chunks(chunk_fn, chunks, workers: int):
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(lambda c: chunk_fn(*c), chunks))
-    return [chunk_fn(*c) for c in chunks]
-
-
-def mc_run(trial: Callable[[RngStream], float], trials: int,
-           master_seed: int, workers: int = 1) -> MCEstimate:
-    """Estimate the mean of trial over independent streams.
-
-    Trial i consumes stream(master_seed, i). The result is bit-identical for
-    any worker count.
-    """
+def _run(draw, kernel, width: int, trials: int, master_seed: int):
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    chunks = [(lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
-    stats = _run_chunks(
-        lambda lo, hi: _run_chunk(trial, master_seed, lo, hi), chunks, workers)
+    stats = [_run_chunk(draw, kernel or _identity, width, master_seed,
+                        lo, min(lo + CHUNK, trials))
+             for lo in range(0, trials, CHUNK)]
     count, mean, m2 = _tree_merge(stats)
-    return MCEstimate.from_welford(count, mean, m2)
-
-
-def mc_run_vector(trial: Callable[[RngStream], np.ndarray], width: int,
-                  trials: int, master_seed: int,
-                  workers: int = 1) -> list[MCEstimate]:
-    """Vector-valued twin of mc_run; returns one estimate per component."""
-    if trials < 2:
-        raise ValueError("need at least 2 trials")
-    chunks = [(lo, min(lo + CHUNK, trials)) for lo in range(0, trials, CHUNK)]
-    stats = _run_chunks(
-        lambda lo, hi: _run_chunk_vector(trial, master_seed, lo, hi, width),
-        chunks, workers)
-    count, mean, m2 = _tree_merge(stats)
-    return [MCEstimate.from_welford(count, float(mean[j]), float(m2[j]))
+    return [MCEstimate.from_moments(count, float(mean[j]), float(m2[j]))
             for j in range(width)]
+
+
+def mc_run(draw: Callable[[RngStream], object], trials: int,
+           master_seed: int, kernel: Kernel | None = None) -> MCEstimate:
+    """Estimate the mean of one quantity over independent streams.
+
+    Trial i draws its row from stream(master_seed, i) with ``draw``; the
+    kernel maps a block of rows of shape (T, ...) to T values. Without a
+    kernel, the drawn rows are the values.
+    """
+    return _run(draw, kernel, 1, trials, master_seed)[0]
+
+
+def mc_run_vector(draw: Callable[[RngStream], object], width: int,
+                  trials: int, master_seed: int,
+                  kernel: Kernel | None = None) -> list[MCEstimate]:
+    """Vector-valued twin of mc_run: the kernel maps (T, ...) to (T, width);
+    returns one estimate per component."""
+    return _run(draw, kernel, width, trials, master_seed)
 
 
 def _check_subset_cap(n: int, d: int, cap: int) -> None:
@@ -185,22 +196,22 @@ def _check_subset_cap(n: int, d: int, cap: int) -> None:
 
 
 def kfacet_expectation_mc(n: int, d: int, k: int, trials: int,
-                          master_seed: int, workers: int = 1,
+                          master_seed: int,
                           subset_cap: int = SUBSET_CAP) -> MCEstimate:
     """Empirical E e_k by full per-trial enumeration."""
     theory._check_kfacet_inputs(n, d, k)
     _check_subset_cap(n, d, subset_cap)
     subsets = geometry.subset_array(n, d)
 
-    def trial(s: RngStream) -> float:
+    def draw(s: RngStream) -> float:
         coords = s.standard_normal((n, d))
         return float(geometry.profile_counts(coords, subsets)[k])
 
-    return mc_run(trial, trials, master_seed, workers)
+    return mc_run(draw, trials, master_seed)
 
 
 def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
-                                  master_seed: int, workers: int = 1,
+                                  master_seed: int,
                                   subset_cap: int = SUBSET_CAP
                                   ) -> list[MCEstimate]:
     """Empirical expectation of the whole profile vector (e_0, ..., e_{n-d})."""
@@ -209,15 +220,19 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
     _check_subset_cap(n, d, subset_cap)
     subsets = geometry.subset_array(n, d)
 
-    def trial(s: RngStream) -> np.ndarray:
+    def draw(s: RngStream) -> np.ndarray:
         coords = s.standard_normal((n, d))
         return geometry.profile_counts(coords, subsets)
 
-    return mc_run_vector(trial, n - d + 1, trials, master_seed, workers)
+    return mc_run_vector(draw, n - d + 1, trials, master_seed)
+
+
+def _draw_normal(shape):
+    return lambda s: s.standard_normal(shape)
 
 
 def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
-                                       master_seed: int, workers: int = 1,
+                                       master_seed: int,
                                        subset_cap: int = SUBSET_CAP
                                        ) -> MCEstimate:
     """Probability that the first d of n Gaussian points form a k-facet."""
@@ -225,22 +240,21 @@ def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
     _check_subset_cap(n, d, subset_cap)
     first = geometry.subset_array(d, d)  # the single subset (0, ..., d-1)
 
-    def trial(s: RngStream) -> float:
-        coords = s.standard_normal((n, d))
-        dist = geometry.signed_distances(coords, first)[0, d:]
-        band = geometry.ON_BAND_RTOL * float(np.max(np.abs(coords)))
-        if np.any(np.abs(dist) <= band):
-            raise geometry.DegeneracyError(tuple(range(d)),
-                                           int(np.argmin(np.abs(dist))) + d)
-        below = int((dist < 0).sum())
-        return 1.0 if below == k or (n - d) - below == k else 0.0
+    def kernel(coords: np.ndarray) -> np.ndarray:
+        dist = geometry.signed_distances(coords, first)[:, 0, d:]
+        band = geometry.ON_BAND_RTOL * np.max(np.abs(coords), axis=(1, 2))
+        hit = geometry.on_band_hit(dist, band[:, None])
+        if hit is not None:
+            row, col = hit
+            raise RowError(row, geometry.DegeneracyError(range(d), col + d))
+        below = (dist < 0).sum(axis=1)
+        return (below == k) | ((n - d) - below == k)
 
-    return mc_run(trial, trials, master_seed, workers)
+    return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
 
 
 def reduced_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
-                                  master_seed: int,
-                                  workers: int = 1) -> MCEstimate:
+                                  master_seed: int) -> MCEstimate:
     """Scalar surrogate for the fixed-subset probability.
 
     Draw Y ~ N(0, 1/d) and Y_1..Y_{n-d} ~ N(0, 1); succeed when the number
@@ -250,16 +264,15 @@ def reduced_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
     m = n - d
     inv_sqrt_d = 1.0 / math.sqrt(d)
 
-    def trial(s: RngStream) -> float:
-        z = s.standard_normal(m + 1)
-        above = int((z[1:] > z[0] * inv_sqrt_d).sum())
-        return 1.0 if above == k or above == m - k else 0.0
+    def kernel(z: np.ndarray) -> np.ndarray:
+        above = (z[:, 1:] > z[:, :1] * inv_sqrt_d).sum(axis=1)
+        return (above == k) | (above == m - k)
 
-    return mc_run(trial, trials, master_seed, workers)
+    return mc_run(_draw_normal(m + 1), trials, master_seed, kernel)
 
 
 def estranged_expectation_mc(d: int, trials: int, master_seed: int,
-                             workers: int = 1, d_cap: int = 7) -> MCEstimate:
+                             d_cap: int = 7) -> MCEstimate:
     """Expected number of estranged facet pairs of 2d Gaussian points."""
     if d < 1:
         raise ValueError("need d >= 1")
@@ -272,16 +285,16 @@ def estranged_expectation_mc(d: int, trials: int, master_seed: int,
                      for row in subsets])
     first_of_pair = np.arange(len(subsets)) < comp
 
-    def trial(s: RngStream) -> float:
+    def draw(s: RngStream) -> float:
         coords = s.standard_normal((n, d))
         mask = geometry.facet_mask(coords, subsets)
         return float((mask & mask[comp] & first_of_pair).sum())
 
-    return mc_run(trial, trials, master_seed, workers)
+    return mc_run(draw, trials, master_seed)
 
 
 def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
-                              workers: int = 1, d_cap: int = 10) -> MCEstimate:
+                              d_cap: int = 10) -> MCEstimate:
     """Probability that both halves of a fixed partition of 2d points are facets."""
     if d < 1:
         raise ValueError("need d >= 1")
@@ -290,12 +303,12 @@ def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
     n = 2 * d
     halves = np.array([list(range(d)), list(range(d, n))], dtype=np.intp)
 
-    def trial(s: RngStream) -> float:
+    def draw(s: RngStream) -> float:
         coords = s.standard_normal((n, d))
         mask = geometry.facet_mask(coords, halves)
         return 1.0 if bool(mask.all()) else 0.0
 
-    return mc_run(trial, trials, master_seed, workers)
+    return mc_run(draw, trials, master_seed)
 
 
 def _z_report(name: str, theory_value: float, est: MCEstimate,
@@ -309,8 +322,7 @@ def _z_report(name: str, theory_value: float, est: MCEstimate,
 
 
 def verify_blaschke(d: int, trials: int, master_seed: int,
-                    distribution: str = "gaussian",
-                    workers: int = 1) -> VerificationReport:
+                    distribution: str = "gaussian") -> VerificationReport:
     """Second-moment identity: det cov = d!/(d+1) E[vol^2] of a simplex.
 
     Checked as E[vol^2] against (d+1)/d! * det cov with det cov known in
@@ -318,7 +330,7 @@ def verify_blaschke(d: int, trials: int, master_seed: int,
     """
     if distribution == "gaussian":
         det_cov = 1.0
-        draw = lambda s: s.standard_normal((d + 1, d))
+        draw = _draw_normal((d + 1, d))
     elif distribution == "uniform-cube":
         det_cov = 12.0 ** (-d)
         draw = lambda s: s.uniform((d + 1, d))
@@ -326,29 +338,26 @@ def verify_blaschke(d: int, trials: int, master_seed: int,
         raise ValueError(f"unknown distribution {distribution!r}")
     target = (d + 1) / math.factorial(d) * det_cov
 
-    def trial(s: RngStream) -> float:
-        return simplex_volume(draw(s)) ** 2
+    def kernel(points: np.ndarray) -> np.ndarray:
+        return simplex_volume(points) ** 2
 
-    est = mc_run(trial, trials, master_seed, workers)
+    est = mc_run(draw, trials, master_seed, kernel)
     return _z_report(f"blaschke[{distribution},d={d}]", target, est,
                      {"det_cov": det_cov, "d": d,
                       "distribution": distribution})
 
 
-def verify_simplex_volume(d: int, trials: int, master_seed: int,
-                          workers: int = 1) -> VerificationReport:
+def verify_simplex_volume(d: int, trials: int,
+                          master_seed: int) -> VerificationReport:
     """Mean volume of a Gaussian simplex against its closed form."""
     target = theory.gaussian_simplex_expected_volume(d).value
-
-    def trial(s: RngStream) -> float:
-        return simplex_volume(s.standard_normal((d + 1, d)))
-
-    est = mc_run(trial, trials, master_seed, workers)
+    est = mc_run(_draw_normal((d + 1, d)), trials, master_seed,
+                 simplex_volume)
     return _z_report(f"simplex_volume[d={d}]", target, est, {"d": d})
 
 
-def verify_truncated_bound(d: int, t: float, trials: int, master_seed: int,
-                           workers: int = 1) -> VerificationReport:
+def verify_truncated_bound(d: int, t: float, trials: int,
+                           master_seed: int) -> VerificationReport:
     """Halfspace-truncated simplex volume respects its lower bound.
 
     Passes when the empirical mean plus 3 standard errors is at least the
@@ -360,10 +369,8 @@ def verify_truncated_bound(d: int, t: float, trials: int, master_seed: int,
         raise ValueError("need t >= 0")
     bound = theory.truncated_simplex_lower_bound(d)
 
-    def trial(s: RngStream) -> float:
-        return simplex_volume(_truncated_coords(s, d, d - 1, t))
-
-    est = mc_run(trial, trials, master_seed, workers)
+    est = mc_run(lambda s: _truncated_coords(s, d, d - 1, t), trials,
+                 master_seed, simplex_volume)
     z = (est.mean - bound) / est.std_error if est.std_error > 0 else math.inf
     passed = est.mean + Z_THRESHOLD * est.std_error >= bound
     return VerificationReport(name=f"truncated_bound[d={d},t={t}]",
@@ -376,8 +383,8 @@ LOGCONCAVE_FAMILIES = ("uniform", "gaussian", "truncated-gaussian", "laplace")
 _HALF_NORMAL_MEAN = math.sqrt(2.0 / math.pi)
 
 
-def verify_logconcave_moment(family: str, trials: int, master_seed: int,
-                             workers: int = 1) -> VerificationReport:
+def verify_logconcave_moment(family: str, trials: int,
+                             master_seed: int) -> VerificationReport:
     """Mean-zero logconcave draws satisfy E|X| >= (1/8) sqrt(E X^2).
 
     The empirical ratio is checked with a 3-standard-error safety margin on
@@ -395,11 +402,10 @@ def verify_logconcave_moment(family: str, trials: int, master_seed: int,
             return -abs(float(s.standard_normal())) + _HALF_NORMAL_MEAN
         return float(s.generator.laplace())
 
-    def trial(s: RngStream) -> np.ndarray:
-        x = draw(s)
-        return np.array([abs(x), x * x])
+    def kernel(x: np.ndarray) -> np.ndarray:
+        return np.stack((np.abs(x), x * x), axis=1)
 
-    abs_est, sq_est = mc_run_vector(trial, 2, trials, master_seed, workers)
+    abs_est, sq_est = mc_run_vector(draw, 2, trials, master_seed, kernel)
     low_abs = abs_est.mean - Z_THRESHOLD * abs_est.std_error
     high_sq = sq_est.mean + Z_THRESHOLD * sq_est.std_error
     ratio = abs_est.mean / math.sqrt(sq_est.mean)
@@ -412,8 +418,8 @@ def verify_logconcave_moment(family: str, trials: int, master_seed: int,
                  "mean_abs": abs_est.mean, "mean_sq": sq_est.mean})
 
 
-def verify_dot_density(d: int, trials: int, master_seed: int,
-                       workers: int = 1) -> VerificationReport:
+def verify_dot_density(d: int, trials: int,
+                       master_seed: int) -> VerificationReport:
     """Empirical second and fourth moments of the direction dot product
     against quadrature of its closed-form density."""
     if d < 2:
@@ -423,13 +429,16 @@ def verify_dot_density(d: int, trials: int, master_seed: int,
     m4 = integrate_1d(lambda w: w ** 4 * theory.dot_density(w, d),
                       -1.0, 1.0, rel_tol=1e-11).value
 
-    def trial(s: RngStream) -> np.ndarray:
-        v1 = s.standard_normal(d)
-        v2 = s.standard_normal(d)
-        w = float(v1 @ v2 / (np.linalg.norm(v1) * np.linalg.norm(v2)))
-        return np.array([w * w, w ** 4])
+    def draw(s: RngStream) -> tuple[np.ndarray, np.ndarray]:
+        return s.standard_normal(d), s.standard_normal(d)
 
-    est2, est4 = mc_run_vector(trial, 2, trials, master_seed, workers)
+    def kernel(v: np.ndarray) -> np.ndarray:
+        v1, v2 = v[:, 0], v[:, 1]
+        norms = np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1)
+        w = np.einsum("ij,ij->i", v1, v2) / norms
+        return np.stack((w * w, w ** 4), axis=1)
+
+    est2, est4 = mc_run_vector(draw, 2, trials, master_seed, kernel)
     z2 = (est2.mean - m2) / est2.std_error
     z4 = (est4.mean - m4) / est4.std_error
     worst = z2 if abs(z2) >= abs(z4) else z4
@@ -477,7 +486,7 @@ class GrowthRow:
 
 
 def facet_growth_table(alpha: float, d_range, trials: int, master_seed: int,
-                       workers: int = 1, k_mode: str = "min",
+                       k_mode: str = "min",
                        subset_cap: int = SUBSET_CAP) -> list[GrowthRow]:
     """Trend table of (E e_k)^(1/d) against the theoretical growth base.
 
@@ -496,7 +505,7 @@ def facet_growth_table(alpha: float, d_range, trials: int, master_seed: int,
             raise ValueError(f"alpha {alpha} gives n <= d at d = {d}")
         k = 0 if k_mode == "min" else (n - d) // 2
         est = kfacet_expectation_mc(n, d, k, trials, master_seed,
-                                    workers=workers, subset_cap=subset_cap)
+                                    subset_cap=subset_cap)
         rows.append(GrowthRow(d=d, n=n, mean=est.mean,
                               std_error=est.std_error,
                               root=est.mean ** (1.0 / d), base=base))
@@ -512,8 +521,8 @@ def growth_rows_to_csv(rows, fh) -> None:
 
 
 def verify_kfacet_reduction(n: int, d: int, k: int, trials_full: int,
-                            trials_reduced: int, master_seed: int,
-                            workers: int = 1) -> VerificationReport:
+                            trials_reduced: int,
+                            master_seed: int) -> VerificationReport:
     """Triangulate the per-subset k-facet probability three ways.
 
     Exact quadrature, the full d-dimensional experiment, and the scalar
@@ -522,9 +531,9 @@ def verify_kfacet_reduction(n: int, d: int, k: int, trials_full: int,
     """
     exact = theory.kfacet_probability_exact(n, d, k)
     full = fixed_subset_kfacet_probability_mc(n, d, k, trials_full,
-                                              master_seed, workers)
+                                              master_seed)
     reduced = reduced_kfacet_probability_mc(n, d, k, trials_reduced,
-                                            master_seed, workers)
+                                            master_seed)
     z_full = (full.mean - exact) / full.std_error
     z_reduced = (reduced.mean - exact) / reduced.std_error
     se_pair = math.sqrt(full.std_error ** 2 + reduced.std_error ** 2)

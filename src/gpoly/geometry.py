@@ -101,9 +101,14 @@ class GeneralPositionReport:
     exhaustive: bool
 
 
-def _coordinate_scale(coords: np.ndarray) -> float:
-    scale = float(np.max(np.abs(coords)))
-    return scale if scale > 0 else 1.0
+def _coordinate_scale(coords: np.ndarray):
+    """Largest |coordinate| (1 when all are zero); one value per point set
+    for a (T, n, d) block."""
+    if coords.ndim == 2:
+        scale = float(np.max(np.abs(coords)))
+        return scale if scale > 0 else 1.0
+    scale = np.max(np.abs(coords), axis=(1, 2))
+    return np.where(scale > 0, scale, 1.0)
 
 
 def subset_array(n: int, d: int) -> np.ndarray:
@@ -160,31 +165,64 @@ def _distances_single(coords: np.ndarray, subset, scale: float) -> np.ndarray:
 
 
 def signed_distances(coords: np.ndarray, subsets: np.ndarray,
-                     scale: float | None = None) -> np.ndarray:
+                     scale=None) -> np.ndarray:
     """Distance of every point to the affine hull of every subset.
 
-    Returns shape (len(subsets), n). The sign convention per subset is
-    arbitrary but internally consistent, which is all side counting needs.
-    Fast path: solve A theta = 1 per subset, batched; hulls through the
-    origin (singular A) fall back to an SVD normal per subset.
+    Returns shape (len(subsets), n) for coordinates of shape (n, d), and
+    (T, len(subsets), n) for a block of T point sets of shape (T, n, d),
+    with ``scale`` then one value per point set. The sign convention per
+    subset is arbitrary but internally consistent, which is all side
+    counting needs. Fast path: solve A theta = 1 per subset, batched; a
+    point set with a hull through the origin (singular A) falls back to an
+    SVD normal per subset.
     """
     coords = np.asarray(coords, dtype=float)
     if scale is None:
         scale = _coordinate_scale(coords)
-    c, d = subsets.shape
-    a = coords[subsets]  # (c, d, d)
-    theta = None
-    try:
-        theta = np.linalg.solve(a, np.ones((d, 1)))[..., 0]
-        if not np.all(np.isfinite(theta)):
-            theta = None
-    except np.linalg.LinAlgError:
-        theta = None
+    if coords.ndim == 3:
+        return _signed_distances_block(
+            coords, subsets, np.broadcast_to(scale, len(coords)))
+    theta = _solve_ones(coords[subsets])
     if theta is None:
-        return np.stack([_distances_single(coords, subsets[i], scale)
-                         for i in range(c)])
+        return np.stack([_distances_single(coords, row, scale)
+                         for row in subsets])
     norms = np.sqrt(np.einsum("ij,ij->i", theta, theta))
     return ((coords @ theta.T - 1.0) / norms).T
+
+
+def _solve_ones(a: np.ndarray):
+    """theta with A theta = 1 for every trailing (d, d) matrix of a, or None
+    when one of them is singular or the solve overflows."""
+    try:
+        theta = np.linalg.solve(a, np.ones((a.shape[-1], 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    return theta if np.all(np.isfinite(theta)) else None
+
+
+def _signed_distances_block(coords: np.ndarray, subsets: np.ndarray,
+                            scales) -> np.ndarray:
+    theta = _solve_ones(coords[:, subsets])  # (T, c, d)
+    if theta is None:
+        return np.stack([signed_distances(c, subsets, s)
+                         for c, s in zip(coords, scales)])
+    norms = np.sqrt(np.einsum("tij,tij->ti", theta, theta))
+    return (np.einsum("tcj,tnj->tcn", theta, coords) - 1.0) / norms[..., None]
+
+
+def on_band_hit(dist: np.ndarray, band, outside: np.ndarray | None = None):
+    """First (row, column) of ``dist`` with |dist| <= band, or None.
+
+    ``band`` broadcasts against ``dist`` (one value, or one per row as a
+    column); ``outside`` masks out each subset's own points.
+    """
+    on = np.abs(dist) <= band
+    if outside is not None:
+        on &= outside
+    if not on.any():
+        return None
+    i, j = np.argwhere(on)[0]
+    return int(i), int(j)
 
 
 def _side_table(coords: np.ndarray, subsets: np.ndarray, scale: float):
@@ -202,10 +240,9 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray, scale: float):
         dist = signed_distances(coords, block, scale)
         outside = np.ones_like(dist, dtype=bool)
         np.put_along_axis(outside, block, False, axis=1)
-        on = (np.abs(dist) <= band) & outside
-        if on.any():
-            i, j = np.argwhere(on)[0]
-            raise DegeneracyError(block[i], int(j))
+        hit = on_band_hit(dist, band, outside)
+        if hit is not None:
+            raise DegeneracyError(block[hit[0]], hit[1])
         b = ((dist < -band) & outside).sum(axis=1)
         below[lo:lo + len(block)] = b
         above[lo:lo + len(block)] = (n - d) - b

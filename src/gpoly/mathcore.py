@@ -83,26 +83,44 @@ def determinant(a) -> float:
     return sign * float(np.prod(np.diag(lu)))
 
 
-def simplex_volume(points) -> float:
+def simplex_volume(points):
     """(m-1)-dimensional volume of the simplex spanned by m points.
 
-    Accepts m points in R^n (one point per row) with 2 <= m <= n+1. When the
-    edge matrix is square this is |det| / (m-1)!; otherwise the Gram
-    determinant of the edges supplies the embedded volume.
+    Accepts m points in R^n (one point per row) with 2 <= m <= n+1, or a
+    block of T such simplices of shape (T, m, n), for which it returns an
+    array of T volumes. When the edge matrix is square this is
+    |det| / (m-1)!; otherwise the Gram determinant of the edges supplies the
+    embedded volume.
+
+    One ``np.linalg.det`` serves the whole block. Partial pivoting bounds
+    the i-th pivot by 2^(i-1) times the largest row norm, so a matrix that
+    ``determinant`` calls singular has |det| <= PIVOT_RTOL 2^(k(k-1)/2)
+    rowscale^k; rows under that screen are decided by ``determinant``.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2:
-        raise ValueError("points must be a 2-D array, one point per row")
-    m, n = pts.shape
+    if pts.ndim not in (2, 3):
+        raise ValueError("points must be a 2-D array, one point per row, "
+                         "or a 3-D block of such arrays")
+    m, n = pts.shape[-2:]
     if not 2 <= m <= n + 1:
         raise ValueError(f"{m} points cannot span a simplex in R^{n}")
-    edges = pts[1:] - pts[0]
-    if m == n + 1:
-        vol = abs(determinant(edges))
-    else:
-        gram = edges @ edges.T
-        vol = math.sqrt(max(determinant(gram), 0.0))
-    return vol / math.factorial(m - 1)
+    block = pts.reshape((-1, m, n))
+    edges = block[:, 1:] - block[:, :1]
+    square = m == n + 1
+    mats = edges if square else edges @ np.swapaxes(edges, 1, 2)
+    if not np.all(np.isfinite(mats)):
+        raise ValueError("matrix entries must be finite")
+    k = m - 1
+    dets = np.linalg.det(mats)
+    row_scale = np.max(np.linalg.norm(mats, axis=2), axis=1)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # overflows to inf for large k, which sends every row to the rule
+        screen = PIVOT_RTOL * np.exp2(k * (k - 1) / 2) * row_scale ** k
+    for t in np.flatnonzero(np.abs(dets) <= screen):
+        dets[t] = determinant(mats[t])
+    vols = (np.abs(dets) if square else np.sqrt(np.maximum(dets, 0.0))) \
+        / math.factorial(k)
+    return float(vols[0]) if pts.ndim == 2 else vols
 
 
 def std_normal_cdf(y):

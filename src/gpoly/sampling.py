@@ -25,7 +25,7 @@ class RngStream:
     generator in Monte Carlo loops.
     """
 
-    __slots__ = ("master_seed", "stream_id", "_bitgen", "generator")
+    __slots__ = ("master_seed", "stream_id", "_bitgen", "generator", "_state")
 
     def __init__(self, master_seed: int, stream_id: int):
         self.master_seed = int(master_seed) & _MASK64
@@ -33,18 +33,22 @@ class RngStream:
         key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
         self._bitgen = Philox(key=key)
         self.generator = Generator(self._bitgen)
+        # The state getter copies the whole state on every call; reset only
+        # rewrites the key of this private copy and hands it to the setter.
+        # The counter stays zero and the buffer is marked empty.
+        self._state = self._bitgen.state
+        self._state["state"]["counter"][:] = 0
+        self._state["buffer_pos"] = 4
+        self._state["has_uint32"] = 0
+        self._state["uinteger"] = 0
 
     def reset(self, master_seed: int, stream_id: int) -> "RngStream":
         self.master_seed = int(master_seed) & _MASK64
         self.stream_id = int(stream_id) & _MASK64
-        st = self._bitgen.state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][0] = self.master_seed
-        st["state"]["key"][1] = self.stream_id
-        st["buffer_pos"] = 4  # mark the output buffer empty
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bitgen.state = st
+        key = self._state["state"]["key"]
+        key[0] = self.master_seed
+        key[1] = self.stream_id
+        self._bitgen.state = self._state
         return self
 
     def uniform(self, size=None):

@@ -93,7 +93,13 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
 
 def kfacet_log_expectation_exact(n: int, d: int, k: int) -> float:
     """Natural log of the expected k-facet count (safe when C(n, d) is huge)."""
-    p = kfacet_probability_exact(n, d, k)
+    return kfacet_log_expectation_from_probability(
+        n, d, kfacet_probability_exact(n, d, k))
+
+
+def kfacet_log_expectation_from_probability(n: int, d: int, p: float) -> float:
+    """log(C(n, d) p): the log expected count of subsets that are k-facets
+    with probability p each; -inf when p = 0."""
     if p == 0.0:
         return -math.inf
     return log_binomial(n, d) + math.log(p)

@@ -4,10 +4,11 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
-from gpoly import cli
+from gpoly import cli, theory
 from gpoly.geometry import kfacet_profile
 from gpoly.sampling import PointSet, gaussian_point_set, stream
 
@@ -210,6 +211,30 @@ def test_verify_exit_1_on_failure():
     assert "simplex_volume[d=1]" in err
 
 
+def test_verify_statistics_pinned():
+    # captured from the per-trial Welford loop; the batched routine draws
+    # the same numbers and may differ from it only by rounding
+    want = json.loads((Path(__file__).parent / "fixtures"
+                       / "verify_all_seed7_trials4096.json").read_text())
+    code, out, _ = run_cli(want["argv"])
+    got = json.loads(out)
+    assert code == 0 and got["passed"] == want["passed"]
+    assert [c["name"] for c in got["checks"]] == \
+        [c["name"] for c in want["checks"]]
+    for g, w in zip(got["checks"], want["checks"]):
+        assert g["passed"] == w["passed"], w["name"]
+        zs = dict(w["zs"], z=w["z"])
+        for key, z in zs.items():
+            z_got = g["z"] if key == "z" else g["details"][key]
+            assert (z is None and z_got is None) or abs(z_got - z) <= 1e-9, \
+                (w["name"], key)
+        for key, est in w["estimates"].items():
+            est_got = g["estimate"] if key == "estimate" else g["details"][key]
+            for stat, value in est.items():
+                assert abs(est_got[stat] - value) <= 1e-12 * abs(value), \
+                    (w["name"], key, stat)
+
+
 # ------------------------------------------------------------------- growth
 
 def test_growth_csv_shape():
@@ -243,6 +268,32 @@ def test_gpoly_workers_env(monkeypatch):
                               "--trials", "2000", "--seed", "8"])
     assert code == code2 == 0
     assert out == out2
+
+
+def test_kfacets_exact_one_quadrature_per_k(monkeypatch):
+    plain = theory.integrate_1d
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "integrate_1d", counting)
+    code, out, _ = run_cli(["kfacets", "exact", "--n", "30", "--d", "10",
+                            "--all-k"])
+    monkeypatch.undo()
+    assert code == 0
+    assert len(calls) == 21
+    params = {"mode": "exact", "n": 30, "d": 10, "k": None, "all_k": True,
+              "seed": 0, "trials": None}
+    results = [{"k": k,
+                "probability": theory.kfacet_probability_exact(30, 10, k),
+                "expectation": theory.kfacet_expectation_exact(30, 10, k),
+                "log_expectation": theory.kfacet_log_expectation_exact(
+                    30, 10, k)}
+               for k in range(21)]
+    assert out == cli._dump_json({"command": "kfacets", "params": params,
+                                  "results": results})
 
 
 def test_params_file_merging(tmp_path):

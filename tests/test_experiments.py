@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gpoly import experiments as ex
+from gpoly import geometry
 from gpoly import theory as th
+from gpoly.sampling import RngStream, stream
 
 
 # -------------------------------------------------------------------- mc_run
@@ -25,15 +27,40 @@ def test_mc_run_standard_normal_mean():
     assert abs(est.std_error - math.sqrt(est.variance / est.trials)) <= 1e-15
 
 
-def test_mc_run_bit_identical_across_workers():
-    def trial(s):
+def test_mc_run_matches_per_trial_reference():
+    # five chunks: trial i draws from stream(9, i), chunks merge by the tree
+    def draw(s):
         return float(s.standard_normal() ** 2 + s.uniform())
 
-    one = ex.mc_run(trial, trials=20_000, master_seed=9, workers=1)
-    eight = ex.mc_run(trial, trials=20_000, master_seed=9, workers=8)
-    assert one.mean == eight.mean
-    assert one.variance == eight.variance
-    assert one.ci95 == eight.ci95
+    est = ex.mc_run(draw, trials=20_000, master_seed=9)
+    xs = np.array([draw(stream(9, i)) for i in range(20_000)])
+    assert abs(est.mean - xs.mean()) <= 1e-12 * abs(xs.mean())
+    assert abs(est.variance - xs.var(ddof=1)) <= 1e-12 * xs.var(ddof=1)
+    again = ex.mc_run(draw, trials=20_000, master_seed=9)
+    assert (again.mean, again.variance) == (est.mean, est.variance)
+
+
+def test_mc_run_kernel_maps_blocks():
+    seen = []
+
+    def kernel(block):
+        seen.append(block.shape)
+        return block.sum(axis=1)
+
+    est = ex.mc_run(lambda s: s.standard_normal(3), trials=5000,
+                    master_seed=4, kernel=kernel)
+    ref = ex.mc_run(lambda s: float(s.standard_normal(3).sum()),
+                    trials=5000, master_seed=4)
+    assert abs(est.mean - ref.mean) <= 1e-12
+    assert abs(est.variance - ref.variance) <= 1e-12
+    assert max(t for t, _ in seen) == ex.SUB_BLOCK
+    assert sum(t for t, _ in seen) == 5000
+
+
+def test_mc_run_kernel_shape_checked():
+    with pytest.raises(ValueError):
+        ex.mc_run_vector(lambda s: s.standard_normal(2), 3, trials=10,
+                         master_seed=0, kernel=lambda block: block)
 
 
 def test_mc_run_vector_matches_scalar_runs():
@@ -62,6 +89,16 @@ def test_mc_run_propagates_trial_index():
 def test_mc_run_needs_two_trials():
     with pytest.raises(ValueError):
         ex.mc_run(lambda s: 0.0, trials=1, master_seed=0)
+
+
+def test_kernel_row_error_names_the_trial():
+    def kernel(block):
+        raise ex.RowError(5, ZeroDivisionError("row 5"))
+
+    with pytest.raises(ex.TrialError) as err:
+        ex.mc_run(lambda s: 0.0, trials=5000, master_seed=0, kernel=kernel)
+    assert err.value.trial_index == 5
+    assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
 def test_welford_merge_matches_numpy():
@@ -111,6 +148,28 @@ def test_reduced_probability():
     assert abs(est.mean - 2.0 / 3.0) <= 3 * est.std_error
 
 
+def test_fixed_subset_on_band_row_names_the_trial(monkeypatch):
+    # trial 4096 + 137 (row 137 of the second chunk's first block) puts
+    # point 2 at the midpoint of points 0 and 1, on their line
+    bad = ex.CHUNK + 137
+    plain = RngStream.standard_normal
+
+    def draw(self, size=None):
+        out = plain(self, size)
+        if self.stream_id == bad:
+            out[2] = 0.5 * (out[0] + out[1])
+        return out
+
+    monkeypatch.setattr(RngStream, "standard_normal", draw)
+    with pytest.raises(ex.TrialError) as err:
+        ex.fixed_subset_kfacet_probability_mc(5, 2, 0, trials=2 * ex.CHUNK,
+                                              master_seed=3)
+    assert err.value.trial_index == bad
+    cause = err.value.__cause__
+    assert isinstance(cause, geometry.DegeneracyError)
+    assert cause.subset == (0, 1) and cause.point_index == 2
+
+
 def test_reduction_triangulation_small():
     rep = ex.verify_kfacet_reduction(5, 2, 1, trials_full=20_000,
                                      trials_reduced=100_000, master_seed=13)
@@ -144,12 +203,6 @@ def test_estranged_cap():
         ex.estranged_expectation_mc(9, trials=10, master_seed=0)
     with pytest.raises(ex.ResourceCapError):
         ex.pair_facet_probability_mc(11, trials=10, master_seed=0)
-
-
-def test_estranged_determinism_across_workers():
-    a = ex.estranged_expectation_mc(2, trials=10_000, master_seed=3, workers=1)
-    b = ex.estranged_expectation_mc(2, trials=10_000, master_seed=3, workers=8)
-    assert a.mean == b.mean and a.variance == b.variance
 
 
 # ------------------------------------------------------------ verifications

@@ -162,6 +162,31 @@ def test_side_counts_on_band_raises():
         geo.side_counts(ps, (0, 1), h)
 
 
+def test_signed_distances_block_matches_point_sets():
+    subsets = geo.subset_array(6, 3)
+    block = np.stack([gauss(seed, 6, 3).coords for seed in range(5)])
+    # in point set 2 the hull of points 0, 1, 2 passes through the origin
+    # (the midpoint of 0 and 1): its solve is singular, and the block takes
+    # the fallback
+    block[2, 1] = -block[2, 0]
+    for coords in (block[[0, 1, 3, 4]], block):
+        dist = geo.signed_distances(coords, subsets)
+        assert dist.shape == (len(coords), len(subsets), 6)
+        for got, pts in zip(dist, coords):
+            want = geo.signed_distances(pts, subsets)
+            assert np.allclose(np.abs(got), np.abs(want), rtol=1e-12,
+                               atol=1e-12)
+
+
+def test_on_band_hit():
+    dist = np.array([[1.0, -2.0, 0.5], [0.1, 3.0, -0.05]])
+    assert geo.on_band_hit(dist, 0.01) is None
+    assert geo.on_band_hit(dist, np.array([[0.01], [0.06]])) == (1, 2)
+    outside = np.array([[True, True, True], [False, True, True]])
+    assert geo.on_band_hit(dist, 0.2, outside) == (1, 2)
+    assert geo.on_band_hit(dist, 0.2) == (1, 0)
+
+
 # ------------------------------------------------------------------ profiles
 
 def test_profile_line():

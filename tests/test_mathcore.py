@@ -99,6 +99,41 @@ def test_simplex_volume_invariances():
         assert abs(mc.simplex_volume(pts @ q) - vol) <= 1e-9 * vol
 
 
+def test_simplex_volume_block_matches_scalar_calls():
+    rng = np.random.default_rng(5)
+    for m, n in ((2, 1), (4, 3), (6, 5), (3, 4)):
+        block = rng.standard_normal((50, m, n))
+        vols = mc.simplex_volume(block)
+        assert vols.shape == (50,)
+        for pts, vol in zip(block, vols):
+            assert abs(vol - mc.simplex_volume(pts)) <= 1e-13 * vol
+
+
+def test_simplex_volume_block_singular_row_is_zero():
+    # row 3 is a triangle 1e-14 from collinear: np.linalg.det sees a nonzero
+    # area, the pivot rule calls it singular, and the block must agree
+    block = np.random.default_rng(6).standard_normal((8, 3, 2))
+    block[3] = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0 + 1e-14]]
+    assert np.linalg.det(block[3, 1:] - block[3, 0]) != 0.0
+    assert mc.simplex_volume(block[3]) == 0.0
+    vols = mc.simplex_volume(block)
+    assert vols[3] == 0.0
+    assert np.all(np.delete(vols, 3) > 0.0)
+
+
+def test_simplex_volume_high_dimension():
+    # the pivot screen overflows past k = 45 and must fall back, not raise
+    pts = np.random.default_rng(0).standard_normal((61, 60))
+    edges = pts[1:] - pts[0]
+    want = abs(np.linalg.det(edges)) / math.factorial(60)
+    assert abs(mc.simplex_volume(pts) - want) <= 1e-10 * want
+
+
+def test_simplex_volume_rejects_non_finite():
+    with pytest.raises(ValueError):
+        mc.simplex_volume([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]])
+
+
 # --------------------------------------------------------- special functions
 
 def test_cdf_at_zero():

@@ -22,6 +22,26 @@ def test_stream_reset_matches_fresh_stream():
     assert np.array_equal(got, want)
 
 
+def test_reset_after_mixed_draws_matches_fresh_stream():
+    keys = np.random.default_rng(21).integers(0, 2**64, size=(20, 2),
+                                              dtype=np.uint64)
+    s = sp.stream(0, 0)
+    for j, (seed, sid) in enumerate(keys):
+        # leave a half-used buffer and a cached 32-bit half behind
+        s.standard_normal(j % 5 + 1)
+        s.uniform(j % 3)
+        s.generator.laplace(size=j % 4)
+        s.generator.integers(0, 2**32, size=j % 2 + 1, dtype=np.uint32)
+        s.reset(int(seed), int(sid))
+        fresh = sp.stream(int(seed), int(sid))
+        assert np.array_equal(s.generator.integers(0, 2**32, size=3,
+                                                   dtype=np.uint32),
+                              fresh.generator.integers(0, 2**32, size=3,
+                                                       dtype=np.uint32))
+        assert np.array_equal(s.standard_normal(7), fresh.standard_normal(7))
+        assert np.array_equal(s.uniform(5), fresh.uniform(5))
+
+
 def test_distinct_streams_pass_two_sample_ks():
     a = sp.stream(7, 0).uniform(1_000_000)
     b = sp.stream(7, 1).uniform(1_000_000)
