@@ -20,15 +20,11 @@ from .experiments import (
 )
 from .geometry import (
     FacetSet,
-    Hyperplane,
     KFacetProfile,
-    SideCount,
     estranged_pair_count,
     facet_set,
     general_position_check,
-    hyperplane_through,
     kfacet_profile,
-    side_counts,
 )
 from .sampling import (
     PointSet,

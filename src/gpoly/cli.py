@@ -271,10 +271,13 @@ def cmd_constants(args) -> int:
         record = _start_record(args, "constants", params)
         c = theory.c_alpha_r(args.alpha, args.r,
                              alt_exponents=args.alt_exponents)
+        base_c = theory.c_alpha_r(args.alpha, args.r) \
+            if args.alt_exponents else c
         payload = {"command": "constants", "target": "kfacet",
                    "params": params,
                    "c": c.as_record("c_alpha_r"),
-                   "growth_base": theory.growth_base_kfacet(args.alpha, args.r)}
+                   "growth_base": theory.growth_base_from_c(
+                       args.alpha, args.r, base_c.value)}
     else:
         params = {}
         record = _start_record(args, "constants", params)

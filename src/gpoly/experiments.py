@@ -1,10 +1,13 @@
 """Monte Carlo harness and the verification suite.
 
-One chunk routine runs every experiment in three steps. Draws are per trial:
-trial i draws its row from the stream keyed by (master_seed, i), so any
-trial can be reproduced in isolation. Kernels are per block: the rows of
-SUB_BLOCK consecutive trials are stacked and mapped by one vectorised call
-to one value (or one vector of values) per trial. Statistics are per chunk:
+One chunk routine runs every experiment in three steps, and every
+experiment is a draw plus a block kernel. Draws are per trial: trial i
+draws its row from the stream keyed by (master_seed, i), so any trial can
+be reproduced in isolation. Kernels are per block: the rows of SUB_BLOCK
+consecutive trials are stacked and mapped by one vectorised call to one
+value (or one vector of values) per trial. The enumeration kernels pass the
+whole block of Gaussian point sets to the geometry, and a degenerate point
+set fails as its trial. Statistics are per chunk:
 each CHUNK of trials is reduced to (count, mean, M2) with numpy, and the
 chunk statistics are merged by a pairwise tree in trial-index order
 (Chan, Golub and LeVeque). Runs are single-threaded, and their results
@@ -189,6 +192,22 @@ def mc_run_vector(draw: Callable[[RngStream], object], width: int,
     return _run(draw, kernel, width, trials, master_seed)
 
 
+def _draw_normal(shape):
+    return lambda s: s.standard_normal(shape)
+
+
+def _geometry_kernel(counts: Kernel) -> Kernel:
+    """Block kernel over point sets (T, n, d) whose geometry errors name a
+    row: each becomes a RowError of that row."""
+    def kernel(coords: np.ndarray) -> np.ndarray:
+        try:
+            return counts(coords)
+        except (geometry.DegeneracyError,
+                geometry.DegenerateSubsetError) as err:
+            raise RowError(err.row, err) from err
+    return kernel
+
+
 def _check_subset_cap(n: int, d: int, cap: int) -> None:
     if math.comb(n, d) > cap:
         raise ResourceCapError(
@@ -202,12 +221,9 @@ def kfacet_expectation_mc(n: int, d: int, k: int, trials: int,
     theory._check_kfacet_inputs(n, d, k)
     _check_subset_cap(n, d, subset_cap)
     subsets = geometry.subset_array(n, d)
-
-    def draw(s: RngStream) -> float:
-        coords = s.standard_normal((n, d))
-        return float(geometry.profile_counts(coords, subsets)[k])
-
-    return mc_run(draw, trials, master_seed)
+    kernel = _geometry_kernel(
+        lambda coords: geometry.profile_counts(coords, subsets)[:, k])
+    return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
 
 
 def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
@@ -219,37 +235,26 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
         raise ValueError(f"need d >= 1 and n >= d + 1, got n={n}, d={d}")
     _check_subset_cap(n, d, subset_cap)
     subsets = geometry.subset_array(n, d)
-
-    def draw(s: RngStream) -> np.ndarray:
-        coords = s.standard_normal((n, d))
-        return geometry.profile_counts(coords, subsets)
-
-    return mc_run_vector(draw, n - d + 1, trials, master_seed)
-
-
-def _draw_normal(shape):
-    return lambda s: s.standard_normal(shape)
+    kernel = _geometry_kernel(
+        lambda coords: geometry.profile_counts(coords, subsets))
+    return mc_run_vector(_draw_normal((n, d)), n - d + 1, trials,
+                         master_seed, kernel)
 
 
 def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
                                        master_seed: int,
                                        subset_cap: int = SUBSET_CAP
                                        ) -> MCEstimate:
-    """Probability that the first d of n Gaussian points form a k-facet."""
+    """Probability that the first d of n Gaussian points form a k-facet.
+
+    The k-facet count over the single subset (0, ..., d-1) is 1 exactly
+    when that subset is a k-facet.
+    """
     theory._check_kfacet_inputs(n, d, k)
     _check_subset_cap(n, d, subset_cap)
-    first = geometry.subset_array(d, d)  # the single subset (0, ..., d-1)
-
-    def kernel(coords: np.ndarray) -> np.ndarray:
-        dist = geometry.signed_distances(coords, first)[:, 0, d:]
-        band = geometry.ON_BAND_RTOL * np.max(np.abs(coords), axis=(1, 2))
-        hit = geometry.on_band_hit(dist, band[:, None])
-        if hit is not None:
-            row, col = hit
-            raise RowError(row, geometry.DegeneracyError(range(d), col + d))
-        below = (dist < 0).sum(axis=1)
-        return (below == k) | ((n - d) - below == k)
-
+    first = geometry.subset_array(d, d)
+    kernel = _geometry_kernel(
+        lambda coords: geometry.profile_counts(coords, first)[:, k])
     return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
 
 
@@ -285,12 +290,12 @@ def estranged_expectation_mc(d: int, trials: int, master_seed: int,
                      for row in subsets])
     first_of_pair = np.arange(len(subsets)) < comp
 
-    def draw(s: RngStream) -> float:
-        coords = s.standard_normal((n, d))
+    def pairs(coords: np.ndarray) -> np.ndarray:
         mask = geometry.facet_mask(coords, subsets)
-        return float((mask & mask[comp] & first_of_pair).sum())
+        return (mask & mask[:, comp] & first_of_pair).sum(axis=1)
 
-    return mc_run(draw, trials, master_seed)
+    return mc_run(_draw_normal((n, d)), trials, master_seed,
+                  _geometry_kernel(pairs))
 
 
 def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
@@ -302,13 +307,9 @@ def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
         raise ResourceCapError(f"d = {d} exceeds the pair cap {d_cap}")
     n = 2 * d
     halves = np.array([list(range(d)), list(range(d, n))], dtype=np.intp)
-
-    def draw(s: RngStream) -> float:
-        coords = s.standard_normal((n, d))
-        mask = geometry.facet_mask(coords, halves)
-        return 1.0 if bool(mask.all()) else 0.0
-
-    return mc_run(draw, trials, master_seed)
+    kernel = _geometry_kernel(
+        lambda coords: geometry.facet_mask(coords, halves).all(axis=1))
+    return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
 
 
 def _z_report(name: str, theory_value: float, est: MCEstimate,

@@ -5,11 +5,14 @@ counting the points strictly on each open side classifies the subset as a
 k-facet (exactly k points on one side). Facets of the convex hull are the
 0-facets, and two facets are estranged when their vertex sets are disjoint.
 
-Enumeration is brute force over all C(n, d) subsets: at desk scale this is
-exact, dimension-generic, and fast once the per-subset linear algebra is
-batched. Numeric degeneracy (a point within the on-band of a hyperplane, or
-an affinely dependent subset) raises rather than tie-breaking silently,
-since Gaussian inputs hit it with probability zero.
+Enumeration is brute force over all C(n, d) subsets, on blocks of point
+sets: ``_side_table`` takes a (T, n, d) block and is the one place that
+runs the on-band test and counts the points on each side. Profiles, facet
+masks and the Monte Carlo kernels all go through it, and a single point set
+is the block with T = 1. Numeric degeneracy (a point within the on-band of
+a hyperplane, or an affinely dependent subset) raises rather than
+tie-breaking silently, since Gaussian inputs hit it with probability zero;
+the error names the point set's row in the block.
 """
 
 from __future__ import annotations
@@ -22,47 +25,38 @@ import numpy as np
 ON_BAND_RTOL = 1e-9
 AFFINE_DEP_RTOL = 1e-9
 
-_BLOCK = 16384  # subsets per batched linear-algebra block
+_BLOCK = 16384  # (point set, subset) pairs per numpy call of _side_table
 
 
 class DegenerateSubsetError(ValueError):
-    """The defining points of a subset are affinely dependent at tolerance."""
+    """The defining points of a subset are affinely dependent at tolerance.
 
-    def __init__(self, subset):
+    ``row`` is the index of the point set in the block that raised (0 for
+    a single point set).
+    """
+
+    def __init__(self, subset, row: int = 0):
         subset = tuple(int(i) for i in subset)
         super().__init__(f"affinely dependent subset {subset}")
         self.subset = subset
+        self.row = int(row)
 
 
 class DegeneracyError(ValueError):
-    """A point outside the subset lies in the on-band of its hyperplane."""
+    """A point outside the subset lies in the on-band of its hyperplane.
 
-    def __init__(self, subset, point_index: int):
+    ``row`` is the index of the point set in the block that raised (0 for
+    a single point set).
+    """
+
+    def __init__(self, subset, point_index: int, row: int = 0):
         subset = tuple(int(i) for i in subset)
+        point_index = int(point_index)
         super().__init__(f"point {point_index} lies on the hyperplane of "
                          f"subset {subset} at tolerance")
         self.subset = subset
         self.point_index = point_index
-
-
-@dataclass(frozen=True, eq=False)
-class Hyperplane:
-    """Oriented affine hull: unit normal and offset with offset >= 0.
-
-    When the hull passes through the origin the orientation tie-break makes
-    the first nonzero normal coordinate positive, so the representation is
-    deterministic.
-    """
-
-    normal: np.ndarray
-    offset: float
-
-
-@dataclass(frozen=True)
-class SideCount:
-    below: int
-    above: int
-    on: int
+        self.row = int(row)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +95,17 @@ class GeneralPositionReport:
     exhaustive: bool
 
 
-def _coordinate_scale(coords: np.ndarray):
-    """Largest |coordinate| (1 when all are zero); one value per point set
-    for a (T, n, d) block."""
-    if coords.ndim == 2:
-        scale = float(np.max(np.abs(coords)))
-        return scale if scale > 0 else 1.0
+def _coordinate_scale(coords: np.ndarray) -> np.ndarray:
+    """Largest |coordinate| of each point set of a (T, n, d) block (1 when
+    all are zero)."""
     scale = np.max(np.abs(coords), axis=(1, 2))
     return np.where(scale > 0, scale, 1.0)
+
+
+def _as_block(coords) -> np.ndarray:
+    """A (T, n, d) float block; one point set of shape (n, d) becomes T = 1."""
+    coords = np.asarray(coords, dtype=float)
+    return coords.reshape((-1,) + coords.shape[-2:])
 
 
 def subset_array(n: int, d: int) -> np.ndarray:
@@ -117,51 +114,44 @@ def subset_array(n: int, d: int) -> np.ndarray:
     return np.array(combos, dtype=np.intp).reshape(len(combos), d)
 
 
-def _hyperplane_arrays(pts: np.ndarray, scale: float, subset):
-    """Unit normal and offset of the affine hull of pts (d points in R^d).
+def _dependent(sv: np.ndarray, scale) -> np.ndarray:
+    """The affine-dependence rule, from the singular values (..., k) of edge
+    matrices: sigma_min <= AFFINE_DEP_RTOL * max(sigma_max, scale). With no
+    edges (k = 0) nothing is dependent."""
+    return sv.min(axis=-1, initial=np.inf) <= \
+        AFFINE_DEP_RTOL * np.maximum(sv.max(axis=-1, initial=0.0), scale)
 
-    Handles hulls through the origin and raises DegenerateSubsetError on
-    affine dependence. Orientation: offset >= 0, ties broken by making the
-    first nonzero normal coordinate positive.
+
+def _hyperplane_arrays(pts: np.ndarray, scale: float, subsets, row: int):
+    """Unit normals (c, d) and offsets (c,) of the affine hulls of c d-point
+    subsets pts (c, d, d), by SVD, so hulls through the origin are handled.
+
+    Raises DegenerateSubsetError, naming ``row``, for the first affinely
+    dependent subset.
     """
-    d = pts.shape[1]
-    tie = ON_BAND_RTOL * scale
-    if d == 1:
-        x = float(pts[0, 0])
-        if abs(x) <= tie:
-            return np.array([1.0]), abs(x)
-        return (np.array([1.0]), x) if x > 0 else (np.array([-1.0]), -x)
-    edges = pts[1:] - pts[0]
-    _, sv, vt = np.linalg.svd(edges)
-    if sv[-1] <= AFFINE_DEP_RTOL * max(sv[0], scale):
-        raise DegenerateSubsetError(subset)
-    normal = vt[-1]
-    offset = float(normal @ pts[0])
-    if offset < -tie:
-        normal, offset = -normal, -offset
-    elif abs(offset) <= tie:
-        j = int(np.argmax(np.abs(normal) > tie))
-        if normal[j] < 0:
-            normal = -normal
-        offset = abs(offset)
-    return normal, offset
+    _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1])
+    bad = _dependent(sv, scale)
+    if bad.any():
+        raise DegenerateSubsetError(subsets[np.argmax(bad)], row)
+    normals = vt[:, -1]
+    return normals, np.einsum("ij,ij->i", normals, pts[:, 0])
 
 
-def hyperplane_through(ps, s) -> Hyperplane:
-    """Oriented hyperplane through the d points of subset s of ps."""
-    idx = list(s)
-    if len(idx) != ps.d:
-        raise ValueError(f"subset size {len(idx)} != d = {ps.d}")
-    scale = _coordinate_scale(ps.coords)
-    normal, offset = _hyperplane_arrays(ps.coords[idx], scale, idx)
-    normal = normal.copy()
-    normal.flags.writeable = False
-    return Hyperplane(normal=normal, offset=offset)
-
-
-def _distances_single(coords: np.ndarray, subset, scale: float) -> np.ndarray:
-    normal, offset = _hyperplane_arrays(coords[list(subset)], scale, subset)
-    return coords @ normal - offset
+def _solved_distances(block: np.ndarray, subsets: np.ndarray):
+    """Distances to the hulls theta . x = 1 from one batched solve of
+    A theta = 1, or None when some A is singular or the solve overflows."""
+    try:
+        # np.take gathers the (T, c, d, d) systems faster than block[:, subsets]
+        theta = np.linalg.solve(np.take(block, subsets, axis=1),
+                                np.ones((block.shape[-1], 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(theta)):
+        return None
+    norms = np.sqrt(np.einsum("tij,tij->ti", theta, theta))
+    # a contiguous (T, d, n) operand halves the matmul time of a view
+    points = np.ascontiguousarray(block.swapaxes(-1, -2))
+    return (np.matmul(theta, points) - 1.0) / norms[..., None]
 
 
 def signed_distances(coords: np.ndarray, subsets: np.ndarray,
@@ -169,117 +159,97 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray,
     """Distance of every point to the affine hull of every subset.
 
     Returns shape (len(subsets), n) for coordinates of shape (n, d), and
-    (T, len(subsets), n) for a block of T point sets of shape (T, n, d),
-    with ``scale`` then one value per point set. The sign convention per
-    subset is arbitrary but internally consistent, which is all side
-    counting needs. Fast path: solve A theta = 1 per subset, batched; a
-    point set with a hull through the origin (singular A) falls back to an
-    SVD normal per subset.
+    (T, len(subsets), n) for a block of T point sets of shape (T, n, d);
+    ``scale`` is the coordinate scale of the dependence rule, one value per
+    point set (taken from the coordinates when omitted). The sign
+    convention per subset is arbitrary but internally consistent, which is
+    all side counting needs. One batched solve of A theta = 1 serves the
+    block. When a hull passes through the origin (singular A), each point
+    set is solved on its own, and one whose solve still fails takes SVD
+    normals; DegenerateSubsetError then names its row.
     """
-    coords = np.asarray(coords, dtype=float)
-    if scale is None:
-        scale = _coordinate_scale(coords)
-    if coords.ndim == 3:
-        return _signed_distances_block(
-            coords, subsets, np.broadcast_to(scale, len(coords)))
-    theta = _solve_ones(coords[subsets])
-    if theta is None:
-        return np.stack([_distances_single(coords, row, scale)
-                         for row in subsets])
-    norms = np.sqrt(np.einsum("ij,ij->i", theta, theta))
-    return ((coords @ theta.T - 1.0) / norms).T
+    block = _as_block(coords)
+    dist = _solved_distances(block, subsets)
+    if dist is None:
+        scales = np.broadcast_to(
+            _coordinate_scale(block) if scale is None else scale, len(block))
+        rows = []
+        for r, (pts, s) in enumerate(zip(block, scales)):
+            alone = _solved_distances(pts[None], subsets)
+            if alone is None:
+                normals, offsets = _hyperplane_arrays(pts[subsets], s,
+                                                      subsets, r)
+                alone = (normals @ pts.T - offsets[:, None])[None]
+            rows.append(alone[0])
+        dist = np.stack(rows)
+    return dist if np.ndim(coords) == 3 else dist[0]
 
 
-def _solve_ones(a: np.ndarray):
-    """theta with A theta = 1 for every trailing (d, d) matrix of a, or None
-    when one of them is singular or the solve overflows."""
-    try:
-        theta = np.linalg.solve(a, np.ones((a.shape[-1], 1)))[..., 0]
-    except np.linalg.LinAlgError:
-        return None
-    return theta if np.all(np.isfinite(theta)) else None
+def _side_table(coords: np.ndarray, subsets: np.ndarray):
+    """Side counts of every subset in every point set of a (T, n, d) block.
 
-
-def _signed_distances_block(coords: np.ndarray, subsets: np.ndarray,
-                            scales) -> np.ndarray:
-    theta = _solve_ones(coords[:, subsets])  # (T, c, d)
-    if theta is None:
-        return np.stack([signed_distances(c, subsets, s)
-                         for c, s in zip(coords, scales)])
-    norms = np.sqrt(np.einsum("tij,tij->ti", theta, theta))
-    return (np.einsum("tcj,tnj->tcn", theta, coords) - 1.0) / norms[..., None]
-
-
-def on_band_hit(dist: np.ndarray, band, outside: np.ndarray | None = None):
-    """First (row, column) of ``dist`` with |dist| <= band, or None.
-
-    ``band`` broadcasts against ``dist`` (one value, or one per row as a
-    column); ``outside`` masks out each subset's own points.
+    Yields (rows, cols, below), slices and a table: below[t, j] counts the
+    points outside subset subsets[cols][j] strictly below its hyperplane in
+    point set coords[rows][t]; the other n - d - below lie strictly above.
+    Each numpy call covers at most _BLOCK (point set, subset) pairs:
+    max(1, _BLOCK // c) point sets at a time, and chunks of subsets when
+    c > _BLOCK. Point sets come in order, so the error raised is the one
+    they would raise one at a time: DegenerateSubsetError for an affinely
+    dependent subset, or DegeneracyError for an outside point in the
+    on-band |distance| <= ON_BAND_RTOL * max |coordinate|. Both name the
+    row of the point set.
     """
-    on = np.abs(dist) <= band
-    if outside is not None:
-        on &= outside
-    if not on.any():
-        return None
-    i, j = np.argwhere(on)[0]
-    return int(i), int(j)
-
-
-def _side_table(coords: np.ndarray, subsets: np.ndarray, scale: float):
-    """Per-subset (below, above) counts over points outside the subset.
-
-    Raises DegeneracyError when any outside point sits in the on-band.
-    """
-    n = coords.shape[0]
-    c, d = subsets.shape
-    below = np.empty(c, dtype=np.int64)
-    above = np.empty(c, dtype=np.int64)
-    band = ON_BAND_RTOL * scale
-    for lo in range(0, c, _BLOCK):
-        block = subsets[lo:lo + _BLOCK]
-        dist = signed_distances(coords, block, scale)
-        outside = np.ones_like(dist, dtype=bool)
-        np.put_along_axis(outside, block, False, axis=1)
-        hit = on_band_hit(dist, band, outside)
-        if hit is not None:
-            raise DegeneracyError(block[hit[0]], hit[1])
-        b = ((dist < -band) & outside).sum(axis=1)
-        below[lo:lo + len(block)] = b
-        above[lo:lo + len(block)] = (n - d) - b
-    return below, above
-
-
-def side_counts(ps, s, h: Hyperplane) -> SideCount:
-    """Classify every point of ps outside subset s against hyperplane h."""
-    scale = _coordinate_scale(ps.coords)
-    band = ON_BAND_RTOL * scale
-    dist = ps.coords @ h.normal - h.offset
-    outside = np.ones(ps.n, dtype=bool)
-    outside[list(s)] = False
-    on = (np.abs(dist) <= band) & outside
-    if on.any():
-        raise DegeneracyError(tuple(s), int(np.argwhere(on)[0][0]))
-    below = int(((dist < -band) & outside).sum())
-    above = int(((dist > band) & outside).sum())
-    return SideCount(below=below, above=above, on=0)
+    n = coords.shape[1]
+    c = len(subsets)
+    scale = _coordinate_scale(coords)
+    outside = np.ones((c, n), dtype=bool)
+    np.put_along_axis(outside, subsets, False, axis=1)
+    step = max(1, _BLOCK // c)
+    for lo in range(0, len(coords), step):
+        for s0 in range(0, c, _BLOCK):
+            rows, cols = slice(lo, lo + step), slice(s0, s0 + _BLOCK)
+            chunk, out = subsets[cols], outside[cols]
+            dependent = None
+            try:
+                dist = signed_distances(coords[rows], chunk, scale[rows])
+            except DegenerateSubsetError as err:
+                # an on-band point in an earlier point set comes first
+                dependent = DegenerateSubsetError(err.subset, lo + err.row)
+                rows = slice(lo, lo + err.row)
+                dist = signed_distances(coords[rows], chunk, scale[rows])
+            band = ON_BAND_RTOL * scale[rows, None, None]
+            on = (np.abs(dist) <= band) & out
+            if on.any():
+                t, i, j = np.argwhere(on)[0]
+                raise DegeneracyError(chunk[i], j, lo + t)
+            if dependent is not None:
+                raise dependent
+            yield rows, cols, ((dist < -band) & out).sum(axis=2)
 
 
 def profile_counts(coords: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
     """k-facet counts e[0..n-d] for raw coordinates (the enumeration core).
 
-    A subset with side counts (b, a) is both a b-facet and an a-facet; it is
-    counted once when balanced (b == a, only possible for n - d even).
+    Coordinates of shape (n, d) give one profile; a (T, n, d) block gives
+    one row per point set. A subset with side counts (b, a) is both a
+    b-facet and an a-facet; it is counted once when balanced (b == a, only
+    possible for n - d even).
     """
-    coords = np.asarray(coords, dtype=float)
-    n, d = coords.shape
+    block = _as_block(coords)
+    t, n, d = block.shape
     if subsets is None:
         subsets = subset_array(n, d)
-    below, above = _side_table(coords, subsets, _coordinate_scale(coords))
     m = n - d
-    e = np.bincount(below, minlength=m + 1)
-    unbalanced = above != below
-    e += np.bincount(above[unbalanced], minlength=m + 1)
-    return e.astype(np.int64)
+    hist = np.zeros((t, m + 1), dtype=np.int64)  # subsets per below count
+    for rows, _, below in _side_table(block, subsets):
+        shift = np.arange(len(below))[:, None] * (m + 1)
+        hist[rows] += np.bincount((below + shift).ravel(),
+                                  minlength=len(below) * (m + 1)
+                                  ).reshape(-1, m + 1)
+    e = hist + hist[:, ::-1]  # b points below leaves m - b above
+    if m % 2 == 0:
+        e[:, m // 2] = hist[:, m // 2]
+    return e if np.ndim(coords) == 3 else e[0]
 
 
 def kfacet_profile(ps) -> KFacetProfile:
@@ -291,10 +261,16 @@ def kfacet_profile(ps) -> KFacetProfile:
 
 
 def facet_mask(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Boolean mask over subsets: True where one open side is empty."""
-    coords = np.asarray(coords, dtype=float)
-    below, above = _side_table(coords, subsets, _coordinate_scale(coords))
-    return (below == 0) | (above == 0)
+    """Boolean mask over subsets: True where one open side is empty.
+
+    One row per point set for a (T, n, d) block.
+    """
+    block = _as_block(coords)
+    m = block.shape[1] - subsets.shape[1]
+    mask = np.empty((len(block), len(subsets)), dtype=bool)
+    for rows, cols, below in _side_table(block, subsets):
+        mask[rows, cols] = (below == 0) | (below == m)
+    return mask if np.ndim(coords) == 3 else mask[0]
 
 
 def facet_set(ps) -> FacetSet:
@@ -330,8 +306,9 @@ def general_position_check(ps, exhaustive_max_n: int = 16,
     """Affine-independence audit of all (or sampled) (d+1)-point subsets.
 
     Exhaustive for n <= exhaustive_max_n, otherwise a fixed-seed random
-    sample of subsets. A subset fails when the determinant of its edge
-    matrix is below AFFINE_DEP_RTOL times its Hadamard bound.
+    sample of subsets. A subset fails by the dependence rule of the SVD
+    hyperplanes: sigma_min(edges) <= AFFINE_DEP_RTOL * max(sigma_max,
+    max |coordinate|).
     """
     coords = ps.coords
     n, d = ps.n, ps.d
@@ -346,15 +323,8 @@ def general_position_check(ps, exhaustive_max_n: int = 16,
                          for _ in range(samples)], dtype=np.intp)
         exhaustive = False
     pts = coords[subs]
-    edges = pts[:, 1:, :] - pts[:, :1, :]
-    if size - 1 == d:
-        dets = np.abs(np.linalg.det(edges))
-    else:  # n <= d: test the whole set's edge Gram instead
-        gram = edges @ np.transpose(edges, (0, 2, 1))
-        dets = np.sqrt(np.maximum(np.linalg.det(gram), 0.0))
-    norms = np.linalg.norm(edges, axis=2)
-    hadamard = np.prod(norms, axis=1)
-    bad = dets <= AFFINE_DEP_RTOL * hadamard
+    sv = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)
+    bad = _dependent(sv, _coordinate_scale(coords[None])[0])
     violations = [tuple(int(i) for i in subs[i])
                   for i in np.nonzero(bad)[0][:max_reported]]
     return GeneralPositionReport(passed=not bad.any(), violations=violations,

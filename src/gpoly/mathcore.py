@@ -1,9 +1,9 @@
 """Numeric substrate: small dense linear algebra, Gaussian special functions,
 adaptive 1-D quadrature, and derivative-free maximization over boxes.
 
-Everything here is a pure function of its inputs. Linear solves and
-determinants go through LU with partial pivoting (LAPACK); a pivot smaller
-than ``PIVOT_RTOL`` times the largest row norm is treated as singular.
+Everything here is a pure function of its inputs. Determinants go through
+LU with partial pivoting (LAPACK); a pivot smaller than ``PIVOT_RTOL`` times
+the largest row norm is treated as singular.
 Maximization never assumes unimodality: a dense grid scan is always followed
 by local refinement, and the reported value is the best point actually
 evaluated.
@@ -20,10 +20,6 @@ import numpy as np
 from scipy import integrate, linalg, optimize, special
 
 PIVOT_RTOL = 1e-12
-
-
-class SingularMatrixError(ValueError):
-    """A pivot fell below PIVOT_RTOL times the largest row norm."""
 
 
 class QuadratureError(RuntimeError):
@@ -46,38 +42,15 @@ def _as_square(a) -> np.ndarray:
     return a
 
 
-def _lu_with_pivot_check(a: np.ndarray):
-    """LU factorization plus the pivot magnitude relative to max row norm."""
+def determinant(a) -> float:
+    """LU-based determinant; returns 0.0 when a pivot magnitude falls below
+    PIVOT_RTOL times the largest row norm."""
+    a = _as_square(a)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", linalg.LinAlgWarning)
         lu, piv = linalg.lu_factor(a, check_finite=False)
-    diag = np.abs(np.diag(lu))
     row_scale = np.max(np.linalg.norm(a, axis=1))
-    return lu, piv, diag, row_scale
-
-
-def solve_linear(a, b) -> np.ndarray:
-    """Solve a x = b by LU with partial pivoting.
-
-    Raises SingularMatrixError when a pivot magnitude falls below
-    PIVOT_RTOL times the largest row norm of ``a``.
-    """
-    a = _as_square(a)
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.shape[0] != a.shape[0]:
-        raise ValueError(f"rhs of shape {b.shape} does not match matrix "
-                         f"order {a.shape[0]}")
-    lu, piv, diag, row_scale = _lu_with_pivot_check(a)
-    if row_scale == 0.0 or np.min(diag) < PIVOT_RTOL * row_scale:
-        raise SingularMatrixError("matrix is singular at pivot tolerance")
-    return linalg.lu_solve((lu, piv), b, check_finite=False)
-
-
-def determinant(a) -> float:
-    """LU-based determinant; returns 0.0 when singular at pivot tolerance."""
-    a = _as_square(a)
-    lu, piv, diag, row_scale = _lu_with_pivot_check(a)
-    if row_scale == 0.0 or np.min(diag) < PIVOT_RTOL * row_scale:
+    if row_scale == 0.0 or np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * row_scale:
         return 0.0
     sign = 1.0 if np.count_nonzero(piv != np.arange(a.shape[0])) % 2 == 0 else -1.0
     return sign * float(np.prod(np.diag(lu)))
@@ -130,13 +103,6 @@ def std_normal_cdf(y):
     (1 - Phi) to powers of order d.
     """
     return special.ndtr(y)
-
-
-def std_normal_pdf(y):
-    """phi(y) = exp(-y^2/2) / sqrt(2 pi)."""
-    y = np.asarray(y, dtype=float)
-    out = np.exp(-0.5 * y * y) / math.sqrt(2.0 * math.pi)
-    return float(out) if out.ndim == 0 else out
 
 
 def std_normal_log_cdf(y):
@@ -248,14 +214,13 @@ def maximize_1d(f: Callable[[float], float], a: float, b: float,
 def maximize_box(f: Callable[[np.ndarray], float],
                  box: Sequence[tuple[float, float]],
                  grid_nodes: int = 65,
-                 refine_starts: int = 8,
-                 vectorized: bool = False) -> MaximizeResult:
+                 refine_starts: int = 8) -> MaximizeResult:
     """Maximize f over a 1- to 3-dimensional box.
 
-    Full grid scan (grid_nodes per axis) followed by Nelder-Mead refinement
+    f maps an (N, dim) array of points to N values. Full grid scan
+    (grid_nodes per axis, one call of f) followed by Nelder-Mead refinement
     started from the best refine_starts grid cells. Iterates are clamped to
-    the box, so the reported argmax always lies inside it. With
-    ``vectorized=True`` the grid scan calls f once on an (N, dim) array.
+    the box, so the reported argmax always lies inside it.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     dim = len(box)
@@ -269,10 +234,7 @@ def maximize_box(f: Callable[[np.ndarray], float],
     axes = [np.linspace(lo, hi, grid_nodes) for lo, hi in box]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    if vectorized:
-        vals = np.asarray(f(pts), dtype=float)
-    else:
-        vals = np.array([f(p) for p in pts], dtype=float)
+    vals = np.asarray(f(pts), dtype=float)
 
     order = np.argsort(vals)[::-1][:refine_starts]
     best_i = int(order[0])
@@ -281,7 +243,7 @@ def maximize_box(f: Callable[[np.ndarray], float],
     def neg_clamped(x: np.ndarray) -> float:
         nonlocal best_x, best_f
         xc = np.clip(x, los, his)
-        v = float(f(xc[None, :])[0]) if vectorized else float(f(xc))
+        v = float(f(xc[None, :])[0])
         if v > best_f:
             best_x, best_f = xc.copy(), v
         return -v

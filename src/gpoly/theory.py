@@ -148,7 +148,11 @@ def growth_base_kfacet(alpha: float, r: float) -> float:
 
     2^(alpha H(1/alpha)) * 2^((alpha-1) H(r)) * sqrt(2 pi) * c_alpha_r.
     """
-    c = c_alpha_r(alpha, r).value
+    return growth_base_from_c(alpha, r, c_alpha_r(alpha, r).value)
+
+
+def growth_base_from_c(alpha: float, r: float, c: float) -> float:
+    """The growth base for a known c = c_alpha_r(alpha, r).value."""
     exponent = alpha * binary_entropy(1.0 / alpha) \
         + (alpha - 1.0) * binary_entropy(r)
     return float(2.0 ** exponent * math.sqrt(2.0 * math.pi) * c)
@@ -204,8 +208,7 @@ def estranged_constant(s1: str, s2: str) -> ConstantResult:
         return estranged_integrand(pts[:, 0], pts[:, 1], pts[:, 2], s1, s2)
 
     res = maximize_box(batch, [(0.0, RHO_MAX), (0.0, RHO_MAX),
-                               (-1.0 + W_EDGE, 1.0 - W_EDGE)],
-                       vectorized=True)
+                               (-1.0 + W_EDGE, 1.0 - W_EDGE)])
     return ConstantResult(value=res.value, argmax=res.argmax,
                           context={"signs": s1 + s2}, diagnostics=res)
 
@@ -222,8 +225,7 @@ def estranged_constant_reduced() -> ConstantResult:
         sq = np.sqrt(1.0 - w * w)
         return np.exp(-rho * rho) * std_normal_cdf(rho * (1.0 - w) / sq) ** 2 * sq
 
-    res = maximize_box(batch, [(0.0, RHO_MAX), (-1.0 + W_EDGE, 1.0 - W_EDGE)],
-                       vectorized=True)
+    res = maximize_box(batch, [(0.0, RHO_MAX), (-1.0 + W_EDGE, 1.0 - W_EDGE)])
     return ConstantResult(value=res.value, argmax=res.argmax,
                           context={"form": "reduced"}, diagnostics=res)
 

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from gpoly import cli, theory
 from gpoly.geometry import kfacet_profile
@@ -294,6 +295,38 @@ def test_kfacets_exact_one_quadrature_per_k(monkeypatch):
                for k in range(21)]
     assert out == cli._dump_json({"command": "kfacets", "params": params,
                                   "results": results})
+
+
+PARENT_STDOUT = json.loads((Path(__file__).parent / "fixtures"
+                            / "cli_stdout.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(PARENT_STDOUT))
+def test_stdout_matches_fixture(command):
+    # captured when the enumeration ran per trial in the draw step and
+    # growth_base_kfacet re-ran the c_alpha_r maximizer
+    code, out, _ = run_cli(command.split())
+    assert code == 0
+    assert out == PARENT_STDOUT[command]
+
+
+@pytest.mark.parametrize("alt, calls", [(False, 1), (True, 2)])
+def test_constants_kfacet_c_alpha_r_calls(monkeypatch, alt, calls):
+    # the growth base reuses c; with --alt-exponents it needs the default
+    # convention's c as well
+    plain = theory.c_alpha_r
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(theory, "c_alpha_r", counting)
+    command = "constants kfacet --alpha 2.5 --r 0.3" \
+        + (" --alt-exponents" if alt else "")
+    code, out, _ = run_cli(command.split())
+    assert code == 0 and len(seen) == calls
+    assert out == PARENT_STDOUT[command]
 
 
 def test_params_file_merging(tmp_path):

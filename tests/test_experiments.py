@@ -170,6 +170,45 @@ def test_fixed_subset_on_band_row_names_the_trial(monkeypatch):
     assert cause.subset == (0, 1) and cause.point_index == 2
 
 
+def _spoil(stream_id, point, value):
+    """A standard_normal that rewrites one point of one trial's draw."""
+    plain = RngStream.standard_normal
+
+    def draw(self, size=None):
+        out = plain(self, size)
+        if self.stream_id == stream_id:
+            out[point] = value(out)
+        return out
+
+    return draw
+
+
+@pytest.mark.parametrize("run, n, point, value, error, subset, point_index", [
+    # point 2 on the line through points 0 and 1
+    (lambda: ex.kfacet_expectation_mc(5, 2, 1, 2 * ex.CHUNK, 3), 5, 2,
+     lambda x: 0.5 * (x[0] + x[1]), geometry.DegeneracyError, (0, 1), 2),
+    # point 1 on top of point 0: only the SVD fallback sees the dependence
+    (lambda: ex.pair_facet_probability_mc(2, 2 * ex.CHUNK, 3), 4, 1,
+     lambda x: x[0], geometry.DegenerateSubsetError, (0, 1), None),
+])
+def test_enumeration_degenerate_row_names_the_trial(
+        monkeypatch, run, n, point, value, error, subset, point_index):
+    bad = ex.CHUNK + 137
+    monkeypatch.setattr(RngStream, "standard_normal",
+                        _spoil(bad, point, value))
+    with pytest.raises(ex.TrialError) as err:
+        run()
+    assert err.value.trial_index == bad
+    cause = err.value.__cause__
+    assert type(cause) is error and cause.subset == subset
+    assert getattr(cause, "point_index", None) == point_index
+    # the same error as the trial's point set alone
+    coords = stream(3, bad).standard_normal((n, 2))
+    with pytest.raises(error) as alone:
+        geometry.facet_mask(coords, geometry.subset_array(n, 2))
+    assert str(alone.value) == str(cause)
+
+
 def test_reduction_triangulation_small():
     rep = ex.verify_kfacet_reduction(5, 2, 1, trials_full=20_000,
                                      trials_reduced=100_000, master_seed=13)

@@ -77,89 +77,88 @@ def graham_hull_vertex_count(coords):
 # -------------------------------------------------------------- hyperplanes
 
 def test_hyperplane_simple():
-    ps = PointSet.from_coords([[1.0, 0.0], [0.0, 1.0]])
-    h = geo.hyperplane_through(ps, (0, 1))
-    r = 1.0 / math.sqrt(2.0)
-    assert np.allclose(h.normal, [r, r], atol=1e-12)
-    assert abs(h.offset - r) <= 1e-12
-
-
-def test_hyperplane_through_origin_tie_break():
-    ps = PointSet.from_coords([[0.0, 0.0], [1.0, 1.0]])
-    h = geo.hyperplane_through(ps, (0, 1))
-    r = 1.0 / math.sqrt(2.0)
-    assert np.allclose(h.normal, [r, -r], atol=1e-12)
-    assert h.offset == 0.0
+    coords = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+    dist = geo.signed_distances(coords, np.array([[0, 1]]))[0]
+    assert np.allclose(dist[:2], 0.0, atol=1e-15)
+    assert abs(abs(dist[2]) - 1.0 / math.sqrt(2.0)) <= 1e-12
 
 
 def test_hyperplane_d1():
-    ps = PointSet.from_coords([[-2.5], [1.0]])
-    h = geo.hyperplane_through(ps, (0,))
-    assert h.normal[0] == -1.0 and h.offset == 2.5
-    h = geo.hyperplane_through(ps, (1,))
-    assert h.normal[0] == 1.0 and h.offset == 1.0
+    coords = np.array([[-2.5], [1.0]])
+    dist = geo.signed_distances(coords, np.array([[0], [1]]))
+    assert np.allclose(np.abs(dist), [[0.0, 3.5], [3.5, 0.0]], atol=1e-15)
 
 
 def test_hyperplane_contains_defining_points():
+    subset = [1, 3, 4, 6]
     for seed in range(20):
         ps = gauss(seed, 8, 4)
-        h = geo.hyperplane_through(ps, (1, 3, 4, 6))
+        dist = geo.signed_distances(ps.coords, np.array([subset]))[0]
         scale = np.abs(ps.coords).max()
-        res = ps.coords[[1, 3, 4, 6]] @ h.normal - h.offset
-        assert np.max(np.abs(res)) <= 1e-9 * scale
-        assert abs(np.linalg.norm(h.normal) - 1.0) <= 1e-12
-        assert h.offset >= 0.0
+        assert np.max(np.abs(dist[subset])) <= 1e-9 * scale
+        # the other points sit at their distance along the SVD unit normal
+        pts = ps.coords[subset]
+        normal = np.linalg.svd(pts[1:] - pts[0])[2][-1]
+        want = np.abs((ps.coords - pts[0]) @ normal)
+        assert np.allclose(np.abs(dist), want, rtol=1e-9, atol=1e-9 * scale)
 
 
 def test_hyperplane_degenerate_subset():
+    # collinear and through the origin: the solve is singular, and the SVD
+    # fallback finds the dependence
     ps = PointSet.from_coords([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(geo.DegenerateSubsetError):
-        geo.hyperplane_through(ps, (0, 1, 2))
+    with pytest.raises(geo.DegenerateSubsetError) as err:
+        geo.signed_distances(ps.coords, np.array([[0, 1, 2]]))
+    assert err.value.subset == (0, 1, 2)
 
 
 def test_offset_squared_is_chi_square_over_d():
-    # d * rho^2 pooled over Gaussian d-subsets has chi^2_1 moments
+    # d * rho^2, rho the distance of the origin to the hull of d Gaussian
+    # points, has chi^2_1 moments
     d, trials = 3, 100_000
-    s = stream(123, 0)
-    vals = np.empty(trials)
-    for i in range(trials):
-        ps = PointSet.from_coords(s.standard_normal((d, d)))
-        vals[i] = d * geo.hyperplane_through(ps, (0, 1, 2)).offset ** 2
+    pts = stream(123, 0).standard_normal((trials, d, d))
+    block = np.concatenate([pts, np.zeros((trials, 1, d))], axis=1)
+    rho = geo.signed_distances(block, np.array([[0, 1, 2]]))[:, 0, d]
+    vals = d * rho ** 2
     se = vals.std() / math.sqrt(trials)
     assert abs(vals.mean() - 1.0) <= 3 * se
 
 
 # -------------------------------------------------------------- side counts
 
+def side_split(coords, subset):
+    """(below, above) of one subset from the block side table, T = 1."""
+    coords = np.asarray(coords, dtype=float)
+    subsets = np.array([subset], dtype=np.intp)
+    [(_, _, below)] = geo._side_table(coords[None], subsets)
+    b = int(below[0, 0])
+    return b, coords.shape[0] - len(subset) - b
+
+
 def test_side_counts_line():
-    ps = PointSet.from_coords([[0.0], [1.0], [2.0]])
-    h = geo.hyperplane_through(ps, (1,))
-    sc = geo.side_counts(ps, (1,), h)
-    assert (sc.below, sc.above, sc.on) == (1, 1, 0)
+    assert side_split([[0.0], [1.0], [2.0]], (1,)) == (1, 1)
 
 
 def test_side_counts_point_inside_triangle():
-    ps = PointSet.from_coords([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
-    h = geo.hyperplane_through(ps, (1, 2))  # hull edge of the outer triangle
-    sc = geo.side_counts(ps, (1, 2), h)
-    assert sorted((sc.below, sc.above)) == [0, 2]
+    coords = [[0.0, 0.0], [4.0, 0.0], [0.0, 4.0], [1.0, 1.0]]
+    # hull edge of the outer triangle
+    assert sorted(side_split(coords, (1, 2))) == [0, 2]
 
 
 def test_side_counts_conservation():
     ps = gauss(5, 8, 3)
     for subset in itertools.combinations(range(8), 3):
-        h = geo.hyperplane_through(ps, subset)
-        sc = geo.side_counts(ps, subset, h)
-        assert sc.below + sc.above + sc.on == 5
+        below, above, on = brute_side_split(ps.coords, subset)
+        assert on == 0
+        assert sorted(side_split(ps.coords, subset)) == sorted((below, above))
 
 
 def test_side_counts_on_band_raises():
-    ps = PointSet.from_coords([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0],
-                               [0.0, -1.0], [0.0, 0.0]])
-    h = geo.hyperplane_through(ps, (0, 1))
-    with pytest.raises(geo.DegeneracyError):
-        geo.side_counts(ps, (0, 1), h)
+    coords = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0], [0.0, 0.0]]
+    with pytest.raises(geo.DegeneracyError) as err:
+        side_split(coords, (0, 1))
+    assert err.value.subset == (0, 1) and err.value.point_index == 4
 
 
 def test_signed_distances_block_matches_point_sets():
@@ -179,12 +178,61 @@ def test_signed_distances_block_matches_point_sets():
 
 
 def test_on_band_hit():
-    dist = np.array([[1.0, -2.0, 0.5], [0.1, 3.0, -0.05]])
-    assert geo.on_band_hit(dist, 0.01) is None
-    assert geo.on_band_hit(dist, np.array([[0.01], [0.06]])) == (1, 2)
-    outside = np.array([[True, True, True], [False, True, True]])
-    assert geo.on_band_hit(dist, 0.2, outside) == (1, 2)
-    assert geo.on_band_hit(dist, 0.2) == (1, 0)
+    # the first on-band point in (point set, subset, point) order raises,
+    # and a subset's own points never count
+    subsets = geo.subset_array(5, 2)
+    block = np.stack([gauss(seed, 5, 2).coords for seed in range(4)])
+    block[2, 3] = 0.5 * (block[2, 0] + block[2, 1])  # on the line 0, 1
+    block[3, 4] = 0.5 * (block[3, 0] + block[3, 1])
+    with pytest.raises(geo.DegeneracyError) as err:
+        geo.profile_counts(block)
+    assert (err.value.row, err.value.subset, err.value.point_index) \
+        == (2, (0, 1), 3)
+    with pytest.raises(geo.DegeneracyError) as err:
+        geo.facet_mask(block[3], subsets)
+    assert (err.value.row, err.value.subset, err.value.point_index) \
+        == (0, (0, 1), 4)
+    assert geo.profile_counts(block[:2]).shape == (2, 4)
+
+
+def test_block_errors_come_in_point_set_order():
+    subsets = geo.subset_array(5, 2)
+    block = np.stack([gauss(seed, 5, 2).coords for seed in range(4)])
+    block[2, 1] = block[2, 0]  # a dependent subset: only the SVD sees it
+    block[1, 4] = 0.5 * (block[1, 0] + block[1, 2])  # on-band, earlier row
+    with pytest.raises(geo.DegeneracyError) as err:
+        geo.facet_mask(block, subsets)
+    assert (err.value.row, err.value.subset, err.value.point_index) \
+        == (1, (0, 2), 4)
+    for rows, row in ((block[2:], 0), (block[[0, 3, 2]], 2)):
+        with pytest.raises(geo.DegenerateSubsetError) as err:
+            geo.profile_counts(rows)
+        assert (err.value.row, err.value.subset) == (row, (0, 1))
+
+
+def test_block_counts_match_point_sets():
+    # point set 2 has a hull through the origin, so its block takes the
+    # per-point-set fallback; every row must count as its T = 1 call
+    block = np.stack([gauss(seed, 6, 3).coords for seed in range(5)])
+    block[2, 1] = -block[2, 0]
+    subsets = geo.subset_array(6, 3)
+    profiles = geo.profile_counts(block, subsets)
+    masks = geo.facet_mask(block, subsets)
+    assert profiles.shape == (5, 4) and masks.shape == (5, 20)
+    for coords, e, mask in zip(block, profiles, masks):
+        assert np.array_equal(e, geo.profile_counts(coords, subsets))
+        assert np.array_equal(mask, geo.facet_mask(coords, subsets))
+
+
+def test_side_table_subset_chunks(monkeypatch):
+    # with fewer pairs per call than subsets, subsets come in chunks and
+    # point sets one at a time; counts must not change
+    block = np.stack([gauss(seed, 9, 3).coords for seed in range(3)])
+    want = geo.profile_counts(block)
+    monkeypatch.setattr(geo, "_BLOCK", 10)
+    pieces = list(geo._side_table(block, geo.subset_array(9, 3)))
+    assert len(pieces) == 3 * 9
+    assert np.array_equal(geo.profile_counts(block), want)
 
 
 # ------------------------------------------------------------------ profiles
@@ -345,6 +393,16 @@ def test_general_position_square_with_center():
     rep = geo.general_position_check(ps)
     assert not rep.passed
     assert any({0, 1, 2} <= set(v) for v in rep.violations)
+
+
+def test_general_position_short_edge():
+    # point 1 sits 1e-13 from point 0: every triangle on that edge is
+    # degenerate, which a determinant over the Hadamard bound cannot see
+    coords = gauss(1, 6, 2).coords.copy()
+    coords[1] = coords[0] + [1e-13, 0.0]
+    rep = geo.general_position_check(PointSet.from_coords(coords))
+    assert not rep.passed
+    assert rep.violations == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
 
 
 def test_general_position_sampled_mode():
