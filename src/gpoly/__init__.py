@@ -30,9 +30,7 @@ from .sampling import (
     PointSet,
     RngStream,
     gaussian_point_set,
-    halfspace_truncated_gaussians,
     stream,
-    unit_direction,
 )
 from .theory import (
     ConstantResult,
@@ -46,7 +44,6 @@ from .theory import (
     growth_base_kfacet,
     kfacet_expectation_exact,
     kfacet_probability_exact,
-    signed_distance_t,
     truncated_simplex_lower_bound,
 )
 

@@ -157,7 +157,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("kfacet", "estranged"))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--r", type=float, default=None)
-    p.add_argument("--alt-exponents", action="store_true", dest="alt_exponents")
     p.add_argument("--out")
     p.set_defaults(func=cmd_constants)
 
@@ -266,18 +265,14 @@ def cmd_constants(args) -> int:
             raise SystemExit(_usage_error("kfacet constants need --alpha and --r"))
         if args.alpha <= 1.0 or not 0.0 <= args.r <= 1.0:
             raise SystemExit(_usage_error("need alpha > 1 and r in [0, 1]"))
-        params = {"alpha": args.alpha, "r": args.r,
-                  "alt_exponents": args.alt_exponents}
+        params = {"alpha": args.alpha, "r": args.r}
         record = _start_record(args, "constants", params)
-        c = theory.c_alpha_r(args.alpha, args.r,
-                             alt_exponents=args.alt_exponents)
-        base_c = theory.c_alpha_r(args.alpha, args.r) \
-            if args.alt_exponents else c
+        c = theory.c_alpha_r(args.alpha, args.r)
         payload = {"command": "constants", "target": "kfacet",
                    "params": params,
                    "c": c.as_record("c_alpha_r"),
                    "growth_base": theory.growth_base_from_c(
-                       args.alpha, args.r, base_c.value)}
+                       args.alpha, args.r, c.value)}
     else:
         params = {}
         record = _start_record(args, "constants", params)

@@ -94,15 +94,6 @@ class VerificationReport:
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-class RowError(Exception):
-    """Raised by a batched kernel that rejects one row of its block."""
-
-    def __init__(self, row: int, cause: BaseException):
-        super().__init__(f"row {row}: {cause}")
-        self.row = row
-        self.cause = cause
-
-
 def _identity(block: np.ndarray) -> np.ndarray:
     return block
 
@@ -111,7 +102,9 @@ def _run_chunk(draw, kernel, width: int, master_seed: int, lo: int, hi: int):
     """(count, mean, M2) of trials lo..hi-1, each of shape (width,).
 
     Trial i draws its row from stream(master_seed, i); every SUB_BLOCK rows
-    are stacked and mapped by one kernel call.
+    are stacked and mapped by one kernel call. A geometry error names the
+    row of its point set in the block, which makes it a TrialError of that
+    trial.
     """
     s = RngStream(master_seed, lo)
     values = np.empty((hi - lo, width))
@@ -126,8 +119,9 @@ def _run_chunk(draw, kernel, width: int, master_seed: int, lo: int, hi: int):
                 raise TrialError(i, exc) from exc
         try:
             out = np.asarray(kernel(np.array(rows, dtype=float)), dtype=float)
-        except RowError as err:
-            raise TrialError(a + err.row, err.cause) from err.cause
+        except (geometry.DegeneracyError,
+                geometry.DegenerateSubsetError) as err:
+            raise TrialError(a + err.row, err) from err
         if out.shape != (b - a, width) and \
                 not (width == 1 and out.shape == (b - a,)):
             raise ValueError(f"kernel returned shape {out.shape} for "
@@ -196,18 +190,6 @@ def _draw_normal(shape):
     return lambda s: s.standard_normal(shape)
 
 
-def _geometry_kernel(counts: Kernel) -> Kernel:
-    """Block kernel over point sets (T, n, d) whose geometry errors name a
-    row: each becomes a RowError of that row."""
-    def kernel(coords: np.ndarray) -> np.ndarray:
-        try:
-            return counts(coords)
-        except (geometry.DegeneracyError,
-                geometry.DegenerateSubsetError) as err:
-            raise RowError(err.row, err) from err
-    return kernel
-
-
 def _check_subset_cap(n: int, d: int, cap: int) -> None:
     if math.comb(n, d) > cap:
         raise ResourceCapError(
@@ -221,9 +203,8 @@ def kfacet_expectation_mc(n: int, d: int, k: int, trials: int,
     theory._check_kfacet_inputs(n, d, k)
     _check_subset_cap(n, d, subset_cap)
     subsets = geometry.subset_array(n, d)
-    kernel = _geometry_kernel(
-        lambda coords: geometry.profile_counts(coords, subsets)[:, k])
-    return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
+    return mc_run(_draw_normal((n, d)), trials, master_seed,
+                  lambda x: geometry.profile_counts(x, subsets)[:, k])
 
 
 def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
@@ -235,27 +216,22 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
         raise ValueError(f"need d >= 1 and n >= d + 1, got n={n}, d={d}")
     _check_subset_cap(n, d, subset_cap)
     subsets = geometry.subset_array(n, d)
-    kernel = _geometry_kernel(
-        lambda coords: geometry.profile_counts(coords, subsets))
-    return mc_run_vector(_draw_normal((n, d)), n - d + 1, trials,
-                         master_seed, kernel)
+    return mc_run_vector(_draw_normal((n, d)), n - d + 1, trials, master_seed,
+                         lambda x: geometry.profile_counts(x, subsets))
 
 
 def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
-                                       master_seed: int,
-                                       subset_cap: int = SUBSET_CAP
-                                       ) -> MCEstimate:
+                                       master_seed: int) -> MCEstimate:
     """Probability that the first d of n Gaussian points form a k-facet.
 
     The k-facet count over the single subset (0, ..., d-1) is 1 exactly
-    when that subset is a k-facet.
+    when that subset is a k-facet. One subset is counted per trial, so no
+    subset cap applies.
     """
     theory._check_kfacet_inputs(n, d, k)
-    _check_subset_cap(n, d, subset_cap)
     first = geometry.subset_array(d, d)
-    kernel = _geometry_kernel(
-        lambda coords: geometry.profile_counts(coords, first)[:, k])
-    return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
+    return mc_run(_draw_normal((n, d)), trials, master_seed,
+                  lambda x: geometry.profile_counts(x, first)[:, k])
 
 
 def reduced_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
@@ -285,17 +261,13 @@ def estranged_expectation_mc(d: int, trials: int, master_seed: int,
         raise ResourceCapError(f"d = {d} exceeds the estranged cap {d_cap}")
     n = 2 * d
     subsets = geometry.subset_array(n, d)
-    key = {tuple(row): i for i, row in enumerate(subsets)}
-    comp = np.array([key[tuple(j for j in range(n) if j not in set(row))]
-                     for row in subsets])
-    first_of_pair = np.arange(len(subsets)) < comp
+    i, j = geometry.disjoint_pairs(subsets)
 
     def pairs(coords: np.ndarray) -> np.ndarray:
         mask = geometry.facet_mask(coords, subsets)
-        return (mask & mask[:, comp] & first_of_pair).sum(axis=1)
+        return (mask[:, i] & mask[:, j]).sum(axis=1)
 
-    return mc_run(_draw_normal((n, d)), trials, master_seed,
-                  _geometry_kernel(pairs))
+    return mc_run(_draw_normal((n, d)), trials, master_seed, pairs)
 
 
 def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
@@ -307,9 +279,8 @@ def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
         raise ResourceCapError(f"d = {d} exceeds the pair cap {d_cap}")
     n = 2 * d
     halves = np.array([list(range(d)), list(range(d, n))], dtype=np.intp)
-    kernel = _geometry_kernel(
-        lambda coords: geometry.facet_mask(coords, halves).all(axis=1))
-    return mc_run(_draw_normal((n, d)), trials, master_seed, kernel)
+    return mc_run(_draw_normal((n, d)), trials, master_seed,
+                  lambda x: geometry.facet_mask(x, halves).all(axis=1))
 
 
 def _z_report(name: str, theory_value: float, est: MCEstimate,

@@ -12,7 +12,9 @@ masks and the Monte Carlo kernels all go through it, and a single point set
 is the block with T = 1. Numeric degeneracy (a point within the on-band of
 a hyperplane, or an affinely dependent subset) raises rather than
 tie-breaking silently, since Gaussian inputs hit it with probability zero;
-the error names the point set's row in the block.
+the error names the point set's row in the block. ``disjoint_pairs`` is
+the one test of which subsets share no point; the estranged-pair count and
+the estranged Monte Carlo kernel both use it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 ON_BAND_RTOL = 1e-9
 AFFINE_DEP_RTOL = 1e-9
 
-_BLOCK = 16384  # (point set, subset) pairs per numpy call of _side_table
+_BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
 
 
 class DegenerateSubsetError(ValueError):
@@ -67,11 +69,6 @@ class KFacetProfile:
     d: int
     e: np.ndarray
 
-    def to_csv(self, fh) -> None:
-        fh.write("k,e_k\n")
-        for k, ek in enumerate(self.e):
-            fh.write(f"{k},{int(ek)}\n")
-
 
 @dataclass(frozen=True, eq=False)
 class FacetSet:
@@ -80,11 +77,6 @@ class FacetSet:
     n: int
     d: int
     facets: list[tuple[int, ...]]
-
-    def to_csv(self, fh) -> None:
-        fh.write("facet\n")
-        for f in self.facets:
-            fh.write(" ".join(str(i) for i in f) + "\n")
 
 
 @dataclass(frozen=True)
@@ -154,27 +146,23 @@ def _solved_distances(block: np.ndarray, subsets: np.ndarray):
     return (np.matmul(theta, points) - 1.0) / norms[..., None]
 
 
-def signed_distances(coords: np.ndarray, subsets: np.ndarray,
-                     scale=None) -> np.ndarray:
+def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Distance of every point to the affine hull of every subset.
 
     Returns shape (len(subsets), n) for coordinates of shape (n, d), and
-    (T, len(subsets), n) for a block of T point sets of shape (T, n, d);
-    ``scale`` is the coordinate scale of the dependence rule, one value per
-    point set (taken from the coordinates when omitted). The sign
-    convention per subset is arbitrary but internally consistent, which is
-    all side counting needs. One batched solve of A theta = 1 serves the
-    block. When a hull passes through the origin (singular A), each point
-    set is solved on its own, and one whose solve still fails takes SVD
-    normals; DegenerateSubsetError then names its row.
+    (T, len(subsets), n) for a block of T point sets of shape (T, n, d).
+    The sign convention per subset is arbitrary but internally consistent,
+    which is all side counting needs. One batched solve of A theta = 1
+    serves the block. When a hull passes through the origin (singular A),
+    each point set is solved on its own, and one whose solve still fails
+    takes SVD normals at its own coordinate scale; DegenerateSubsetError
+    then names its row.
     """
     block = _as_block(coords)
     dist = _solved_distances(block, subsets)
     if dist is None:
-        scales = np.broadcast_to(
-            _coordinate_scale(block) if scale is None else scale, len(block))
         rows = []
-        for r, (pts, s) in enumerate(zip(block, scales)):
+        for r, (pts, s) in enumerate(zip(block, _coordinate_scale(block))):
             alone = _solved_distances(pts[None], subsets)
             if alone is None:
                 normals, offsets = _hyperplane_arrays(pts[subsets], s,
@@ -211,12 +199,12 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
             chunk, out = subsets[cols], outside[cols]
             dependent = None
             try:
-                dist = signed_distances(coords[rows], chunk, scale[rows])
+                dist = signed_distances(coords[rows], chunk)
             except DegenerateSubsetError as err:
                 # an on-band point in an earlier point set comes first
                 dependent = DegenerateSubsetError(err.subset, lo + err.row)
                 rows = slice(lo, lo + err.row)
-                dist = signed_distances(coords[rows], chunk, scale[rows])
+                dist = signed_distances(coords[rows], chunk)
             band = ON_BAND_RTOL * scale[rows, None, None]
             on = (np.abs(dist) <= band) & out
             if on.any():
@@ -281,23 +269,31 @@ def facet_set(ps) -> FacetSet:
     return FacetSet(n=ps.n, d=ps.d, facets=facets)
 
 
-def estranged_pair_count(fs: FacetSet) -> int:
-    """Unordered facet pairs with disjoint vertex sets.
+def disjoint_pairs(subsets) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i, j), i < j, of the rows of ``subsets`` that share no
+    point, in row-major order.
 
-    For n = 2d only complementary subsets can be disjoint, so the scan
-    short-circuits to a complement lookup.
+    Rows are compared through their 0/1 incidence matrix: row i meets the
+    rows after it in one matrix product, over blocks of at most _BLOCK
+    pairs, so any number of points works.
     """
-    masks = [sum(1 << i for i in f) for f in fs.facets]
-    if fs.n == 2 * fs.d:
-        full = (1 << fs.n) - 1
-        mask_set = set(masks)
-        return sum(1 for m in masks if (full ^ m) in mask_set) // 2
-    count = 0
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if masks[i] & masks[j] == 0:
-                count += 1
-    return count
+    subsets = np.asarray(subsets, dtype=np.intp)
+    c = len(subsets)
+    inc = np.zeros((c, subsets.max(initial=-1) + 1))
+    inc[np.arange(c)[:, None], subsets] = 1.0
+    step = max(1, _BLOCK // max(c, 1))
+    first, second = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for lo in range(0, c, step):
+        i, j = np.nonzero(inc[lo:lo + step] @ inc[lo + 1:].T == 0)
+        i, j = i + lo, j + lo + 1
+        first.append(i[i < j])
+        second.append(j[i < j])
+    return np.concatenate(first), np.concatenate(second)
+
+
+def estranged_pair_count(fs: FacetSet) -> int:
+    """Unordered facet pairs with disjoint vertex sets (estranged pairs)."""
+    return len(disjoint_pairs(fs.facets)[0])
 
 
 def general_position_check(ps, exhaustive_max_n: int = 16,
@@ -314,13 +310,12 @@ def general_position_check(ps, exhaustive_max_n: int = 16,
     n, d = ps.n, ps.d
     size = min(d + 1, n)
     if n <= exhaustive_max_n:
-        subs = np.array(list(itertools.combinations(range(n), size)),
-                        dtype=np.intp)
+        subs = subset_array(n, size)
         exhaustive = True
     else:
         rng = np.random.default_rng(20240 + size)  # fixed seed: report is deterministic
-        subs = np.array([np.sort(rng.choice(n, size=size, replace=False))
-                         for _ in range(samples)], dtype=np.intp)
+        rows = np.broadcast_to(np.arange(n, dtype=np.intp), (samples, n))
+        subs = np.sort(rng.permuted(rows, axis=1)[:, :size], axis=1)
         exhaustive = False
     pts = coords[subs]
     sv = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)

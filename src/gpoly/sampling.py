@@ -2,12 +2,13 @@
 
 Streams are counter-based (Philox4x64 keyed by (master_seed, stream_id)), so
 trial i of any experiment can be reproduced in isolation and parallel
-consumers never share state. Point sets carry their seed provenance.
+consumers never share state. Point sets carry their seed provenance and
+write themselves as CSV; ``_truncated_coords`` draws Gaussians conditioned
+on a halfspace by rejection.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,25 +92,11 @@ class PointSet:
         return cls(n=coords.shape[0], d=coords.shape[1], coords=coords,
                    provenance=provenance)
 
-    def to_csv(self, path) -> None:
-        """Write `x1,...,xd` CSV at 17 significant digits (exact round-trip)."""
-        with open(path, "w", newline="") as fh:
-            self.write_csv(fh)
-
     def write_csv(self, fh) -> None:
+        """Write `x1,...,xd` CSV at 17 significant digits (exact round-trip)."""
         fh.write(",".join(f"x{j + 1}" for j in range(self.d)) + "\n")
         for row in self.coords:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "PointSet":
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, data = rows[0], rows[1:]
-        if header != [f"x{j + 1}" for j in range(len(header))]:
-            raise ValueError(f"unexpected point-set header: {header}")
-        coords = np.array([[float(v) for v in row] for row in data])
-        return cls.from_coords(coords, provenance="external")
 
 
 def gaussian_point_set(s: RngStream, n: int, d: int) -> PointSet:
@@ -121,19 +108,12 @@ def gaussian_point_set(s: RngStream, n: int, d: int) -> PointSet:
                     provenance=(s.master_seed, s.stream_id))
 
 
-def unit_direction(s: RngStream, d: int) -> np.ndarray:
-    """Uniform direction on the unit sphere S^{d-1} (normalized Gaussian)."""
-    if d < 2:
-        raise ValueError("unit directions need d >= 2")
-    while True:
-        v = s.standard_normal(d)
-        norm = np.linalg.norm(v)
-        if norm > 1e-150:  # guards the measure-zero underflow draw
-            return v / norm
-
-
 def _truncated_coords(s: RngStream, count: int, d: int, t: float) -> np.ndarray:
-    """Rejection-sample standard Gaussians in R^d with first coordinate <= t."""
+    """Rejection-sample standard Gaussians in R^d with first coordinate <= t.
+
+    With t >= 0 the acceptance probability is Phi(t) >= 1/2, so rejection
+    costs at most one extra draw per point in expectation.
+    """
     out = np.empty((count, d))
     got = 0
     while got < count:
@@ -143,19 +123,3 @@ def _truncated_coords(s: RngStream, count: int, d: int, t: float) -> np.ndarray:
         out[got:got + take] = acc[:take]
         got += take
     return out
-
-
-def halfspace_truncated_gaussians(s: RngStream, d: int, t: float,
-                                  count: int) -> PointSet:
-    """Standard Gaussians conditioned on the halfspace x_1 <= t, t >= 0.
-
-    With t >= 0 the acceptance probability is Phi(t) >= 1/2, so rejection
-    costs at most one extra draw per point in expectation.
-    """
-    if t < 0:
-        raise ValueError("halfspace truncation requires t >= 0")
-    if d < 1 or count < 1:
-        raise ValueError("need d >= 1 and count >= 1")
-    coords = _truncated_coords(s, count, d, t)
-    return PointSet(n=count, d=d, coords=coords,
-                    provenance=(s.master_seed, s.stream_id))

@@ -110,25 +110,17 @@ def kfacet_expectation_exact(n: int, d: int, k: int) -> float:
     return math.exp(kfacet_log_expectation_exact(n, d, k))
 
 
-def c_alpha_r(alpha: float, r: float,
-              alt_exponents: bool = False) -> ConstantResult:
+def c_alpha_r(alpha: float, r: float) -> ConstantResult:
     """Maximum over y of Phi(y)^e1 (1 - Phi(y))^e2 phi(y).
 
-    Default exponents are e1 = r (alpha - 1), e2 = (1 - r)(alpha - 1), the
+    The exponents e1 = r (alpha - 1), e2 = (1 - r)(alpha - 1) are the
     scaling under which k-facet counts at k ~ r (n - d) grow like value^d.
-    ``alt_exponents`` switches to the convention e1 = r alpha,
-    e2 = alpha - 1 - r alpha for comparison; note e2 goes negative for
-    r > 1 - 1/alpha, where the objective is unbounded on the real line and
-    only its maximum over the scan interval is reported.
     """
     if alpha <= 1.0:
         raise ValueError(f"need alpha > 1, got {alpha}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"need r in [0, 1], got {r}")
-    if alt_exponents:
-        e1, e2 = r * alpha, alpha - 1.0 - r * alpha
-    else:
-        e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
+    e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
 
     def objective(y: float) -> float:
         la = e1 * std_normal_log_cdf(y) if e1 != 0.0 else 0.0
@@ -138,8 +130,7 @@ def c_alpha_r(alpha: float, r: float,
     res = maximize_1d(objective, -INTEGRATION_HALF_WIDTH,
                       INTEGRATION_HALF_WIDTH)
     return ConstantResult(value=res.value, argmax=res.argmax,
-                          context={"alpha": alpha, "r": r,
-                                   "alt_exponents": alt_exponents},
+                          context={"alpha": alpha, "r": r},
                           diagnostics=res)
 
 
@@ -164,22 +155,6 @@ def _sign_factor(t, sign: str):
     if sign == "+":
         return std_normal_cdf(-t)  # 1 - Phi(t), stable in the far tail
     raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-
-
-def signed_distance_t(rho1, rho2, w):
-    """Signed offset (rho2 - rho1 w) / sqrt(1 - w^2).
-
-    Distance from the origin, measured inside the hyperplane with offset
-    rho1, of its intersection with the hyperplane at offset rho2 whose
-    normal makes dot product w with the first normal. Positive when the
-    corresponding halfspace contains the origin.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(np.abs(w) >= 1.0):
-        raise ValueError("signed distance needs |w| < 1")
-    out = (np.asarray(rho2, float) - np.asarray(rho1, float) * w) \
-        / np.sqrt(1.0 - w * w)
-    return float(out) if out.ndim == 0 else out
 
 
 def estranged_integrand(rho1, rho2, w, s1: str, s2: str):

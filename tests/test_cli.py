@@ -43,7 +43,7 @@ def test_sample_round_trip_preserves_profile(tmp_path):
     assert code == 0
     prov = json.loads(stdout)
     assert prov["master_seed"] == 3 and prov["stream_id"] == 0
-    loaded = PointSet.from_csv(out)
+    loaded = PointSet.from_coords(np.loadtxt(out, delimiter=",", skiprows=1))
     direct = gaussian_point_set(stream(3, 0), 8, 2)
     assert np.array_equal(loaded.coords, direct.coords)
     assert np.array_equal(kfacet_profile(loaded).e, kfacet_profile(direct).e)
@@ -310,10 +310,9 @@ def test_stdout_matches_fixture(command):
     assert out == PARENT_STDOUT[command]
 
 
-@pytest.mark.parametrize("alt, calls", [(False, 1), (True, 2)])
+@pytest.mark.parametrize("alt, calls", [(False, 1)])
 def test_constants_kfacet_c_alpha_r_calls(monkeypatch, alt, calls):
-    # the growth base reuses c; with --alt-exponents it needs the default
-    # convention's c as well
+    # the growth base reuses c
     plain = theory.c_alpha_r
     seen = []
 
@@ -322,11 +321,16 @@ def test_constants_kfacet_c_alpha_r_calls(monkeypatch, alt, calls):
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(theory, "c_alpha_r", counting)
-    command = "constants kfacet --alpha 2.5 --r 0.3" \
-        + (" --alt-exponents" if alt else "")
+    command = "constants kfacet --alpha 2.5 --r 0.3"
     code, out, _ = run_cli(command.split())
     assert code == 0 and len(seen) == calls
     assert out == PARENT_STDOUT[command]
+
+
+def test_constants_kfacet_alt_exponents_is_gone():
+    code, out, _ = run_cli(["constants", "kfacet", "--alpha", "2", "--r",
+                            "0.5", "--alt-exponents"])
+    assert code == 2 and out == ""
 
 
 def test_params_file_merging(tmp_path):

@@ -1,9 +1,29 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
+def test_demo_imports_resolve(demo):
+    # running demos 02-04 takes seconds each; a removed name fails here fast
+    tree = ast.parse(demo.read_text(), filename=str(demo))
+    imports = [node for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module
+               and node.module.split(".")[0] == "gpoly"]
+    assert imports
+    missing = [f"{node.module}.{alias.name}" for node in imports
+               for alias in node.names
+               if not hasattr(importlib.import_module(node.module),
+                              alias.name)]
+    assert not missing
 
 
 def test_demo_01_sample_and_enumerate():

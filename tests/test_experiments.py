@@ -92,13 +92,15 @@ def test_mc_run_needs_two_trials():
 
 
 def test_kernel_row_error_names_the_trial():
+    cause = geometry.DegeneracyError((0, 1), 2, row=5)
+
     def kernel(block):
-        raise ex.RowError(5, ZeroDivisionError("row 5"))
+        raise cause
 
     with pytest.raises(ex.TrialError) as err:
         ex.mc_run(lambda s: 0.0, trials=5000, master_seed=0, kernel=kernel)
     assert err.value.trial_index == 5
-    assert isinstance(err.value.__cause__, ZeroDivisionError)
+    assert err.value.__cause__ is cause
 
 
 def test_welford_merge_matches_numpy():
@@ -138,6 +140,14 @@ def test_fixed_subset_probability():
     est = ex.fixed_subset_kfacet_probability_mc(3, 1, 0, trials=50_000,
                                                 master_seed=4)
     assert abs(est.mean - 2.0 / 3.0) <= 3 * est.std_error
+
+
+def test_fixed_subset_has_no_subset_cap():
+    # one subset per trial, although C(30, 10) is past the enumeration cap
+    est = ex.fixed_subset_kfacet_probability_mc(30, 10, 5, trials=4096,
+                                                master_seed=0)
+    exact = th.kfacet_probability_exact(30, 10, 5)
+    assert abs(est.mean - exact) <= 3 * est.std_error
 
 
 def test_reduced_probability():

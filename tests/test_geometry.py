@@ -368,9 +368,39 @@ def test_estranged_gaussian_matches_brute_force():
 
 
 def test_estranged_general_n_path():
-    ps = gauss(61, 9, 3)  # n != 2d exercises the pairwise scan
+    ps = gauss(61, 9, 3)  # n != 2d: disjoint pairs need not be complements
     fs = geo.facet_set(ps)
     assert geo.estranged_pair_count(fs) == brute_estranged_pairs(fs.facets)
+
+
+@pytest.mark.parametrize("n, d, c", [(9, 3, 40), (30, 3, 300), (14, 7, 200),
+                                     (120, 2, 400), (6, 3, 20), (4, 2, 6)])
+def test_disjoint_pairs_match_brute_force(n, d, c):
+    # random rows of distinct points, with repeats, sizes past one block
+    # and n > 63 (no 64-bit masks)
+    rng = np.random.default_rng(n * 1000 + d)
+    subsets = np.sort(rng.permuted(np.broadcast_to(np.arange(n), (c, n)),
+                                   axis=1)[:, :d], axis=1)
+    want = [(i, j) for i, j in itertools.combinations(range(c), 2)
+            if not set(subsets[i]) & set(subsets[j])]
+    i, j = geo.disjoint_pairs(subsets)
+    assert list(zip(i.tolist(), j.tolist())) == want
+
+
+def test_disjoint_pairs_at_n_2d_are_complements():
+    for d in (2, 3, 5):
+        subsets = geo.subset_array(2 * d, d)
+        i, j = geo.disjoint_pairs(subsets)
+        assert len(i) == len(subsets) // 2
+        for a, b in zip(i, j):
+            assert sorted(subsets[a].tolist() + subsets[b].tolist()) \
+                == list(range(2 * d))
+
+
+def test_disjoint_pairs_empty():
+    i, j = geo.disjoint_pairs([])
+    assert len(i) == len(j) == 0
+    assert geo.estranged_pair_count(geo.FacetSet(n=4, d=2, facets=[])) == 0
 
 
 # ----------------------------------------------------------- general position
@@ -411,19 +441,14 @@ def test_general_position_sampled_mode():
     assert rep.checked == 10_000
     again = geo.general_position_check(gauss(83, 40, 3))
     assert again.violations == rep.violations  # fixed-seed sampling
-
-
-# ----------------------------------------------------------------- CSV forms
-
-def test_profile_csv(tmp_path):
-    import io
-    buf = io.StringIO()
-    geo.kfacet_profile(PointSet.from_coords([[0.0], [1.0], [2.0]])).to_csv(buf)
-    assert buf.getvalue() == "k,e_k\n0,2\n1,1\n2,2\n"
-
-
-def test_facet_csv():
-    import io
-    buf = io.StringIO()
-    geo.facet_set(SQUARE).to_csv(buf)
-    assert buf.getvalue() == "facet\n0 2\n0 3\n1 2\n1 3\n"
+    # on coplanar points every sampled subset is a violation, so the report
+    # lists the sample itself
+    flat = np.hstack([gauss(83, 40, 2).coords, np.zeros((40, 1))])
+    runs = [geo.general_position_check(PointSet.from_coords(flat),
+                                       max_reported=10_000)
+            for _ in range(2)]
+    rows = np.array(runs[0].violations)
+    assert rows.shape == (10_000, 4) and not runs[0].passed
+    assert np.all(np.diff(rows, axis=1) > 0)  # sorted and distinct
+    assert rows.min() >= 0 and rows.max() < 40
+    assert runs[1].violations == runs[0].violations

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from gpoly import sampling as sp
+from gpoly.experiments import verify_truncated_bound
 
 
 def test_stream_determinism():
@@ -78,39 +79,14 @@ def test_gaussian_coordinates_anderson_darling():
     assert a2 <= 6.0
 
 
-def test_unit_direction_norm_and_symmetry():
-    s = sp.stream(4, 0)
-    dirs = np.array([sp.unit_direction(s, 5) for _ in range(100_000)])
-    assert np.max(np.abs(np.linalg.norm(dirs, axis=1) - 1.0)) <= 1e-12
-    assert np.max(np.abs(dirs.mean(axis=0))) <= 0.02
-
-
-def test_unit_direction_dot_second_moment():
-    # E <t1, t2>^2 = 1/d for independent uniform directions
-    d = 6
-    s = sp.stream(9, 0)
-    dots = np.array([sp.unit_direction(s, d) @ sp.unit_direction(s, d)
-                     for _ in range(100_000)])
-    sq = dots ** 2
-    se = sq.std() / math.sqrt(len(sq))
-    assert abs(sq.mean() - 1.0 / d) <= 3 * se
-
-
-def test_unit_direction_needs_d_at_least_2():
-    with pytest.raises(ValueError):
-        sp.unit_direction(sp.stream(0, 0), 1)
-
-
 def test_truncated_no_truncation_proxy():
-    ps = sp.halfspace_truncated_gaussians(sp.stream(8, 0), 4, 40.0, 100_000)
-    x1 = ps.coords[:, 0]
+    x1 = sp._truncated_coords(sp.stream(8, 0), 100_000, 4, 40.0)[:, 0]
     se = x1.std() / math.sqrt(len(x1))
     assert abs(x1.mean()) <= 3 * se
 
 
 def test_truncated_at_zero_half_normal_moments():
-    ps = sp.halfspace_truncated_gaussians(sp.stream(8, 1), 3, 0.0, 100_000)
-    x1 = ps.coords[:, 0]
+    x1 = sp._truncated_coords(sp.stream(8, 1), 100_000, 3, 0.0)[:, 0]
     assert np.all(x1 <= 0.0)
     half_mean = math.sqrt(2.0 / math.pi)
     se = x1.std() / math.sqrt(len(x1))
@@ -122,17 +98,18 @@ def test_truncated_at_zero_half_normal_moments():
 
 
 def test_truncated_other_coordinates_stay_standard_normal():
-    ps = sp.halfspace_truncated_gaussians(sp.stream(8, 2), 4, 0.0, 100_000)
+    coords = sp._truncated_coords(sp.stream(8, 2), 100_000, 4, 0.0)
     for j in (1, 2, 3):
-        col = ps.coords[:, j]
+        col = coords[:, j]
         se = col.std() / math.sqrt(len(col))
         assert abs(col.mean()) <= 3 * se
         assert abs(col.var() - 1.0) <= 0.02
 
 
 def test_truncated_rejects_negative_t():
+    # the truncated-bound check is the one entry point that takes t
     with pytest.raises(ValueError):
-        sp.halfspace_truncated_gaussians(sp.stream(0, 0), 3, -0.5, 10)
+        verify_truncated_bound(3, -0.5, 10, 0)
 
 
 def test_point_set_immutable_and_validated():
@@ -148,9 +125,9 @@ def test_point_set_immutable_and_validated():
 def test_point_set_csv_round_trip(tmp_path):
     ps = sp.gaussian_point_set(sp.stream(77, 0), 50, 4)
     path = tmp_path / "pts.csv"
-    ps.to_csv(path)
+    with open(path, "w", newline="") as fh:
+        ps.write_csv(fh)
     header = path.read_text().splitlines()[0]
     assert header == "x1,x2,x3,x4"
-    back = sp.PointSet.from_csv(path)
-    assert back.provenance == "external"
-    assert np.array_equal(back.coords, ps.coords)  # 17 digits round-trip exactly
+    back = np.loadtxt(path, delimiter=",", skiprows=1)
+    assert np.array_equal(back, ps.coords)  # 17 digits round-trip exactly

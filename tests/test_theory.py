@@ -119,19 +119,6 @@ def test_c_alpha_r_against_dense_grid_oracle():
     assert abs(res.argmax[0] - ys[i]) <= 1e-3
 
 
-def test_c_alpha_r_exponent_conventions():
-    # the two conventions coincide at r = 0 and differ at r = 1/2
-    default = th.c_alpha_r(2.0, 0.0)
-    alt = th.c_alpha_r(2.0, 0.0, alt_exponents=True)
-    assert abs(default.value - alt.value) <= 1e-12
-    alt_half = th.c_alpha_r(2.0, 0.5, alt_exponents=True)
-    ys = np.linspace(-12.0, 12.0, 1_000_001)
-    oracle = float(np.max(mc.std_normal_cdf(ys) * norm.pdf(ys)))
-    assert abs(alt_half.value - oracle) <= 1e-9
-    assert alt_half.value != pytest.approx(th.c_alpha_r(2.0, 0.5).value,
-                                           abs=1e-3)
-
-
 def test_c_alpha_r_validation():
     with pytest.raises(ValueError):
         th.c_alpha_r(1.0, 0.5)
@@ -235,18 +222,35 @@ def test_constant_record_shape(reduced):
 # ------------------------------------------------------------ signed distance
 
 def test_signed_distance_orthogonal():
-    assert th.signed_distance_t(1.3, 1.3, 0.0) == 1.3
+    # orthogonal hyperplanes (w = 0): t21 = rho2 and t12 = rho1
+    got = th.estranged_integrand(1.3, 0.7, 0.0, "-", "+")
+    want = math.exp(-0.5 * (1.3 ** 2 + 0.7 ** 2)) * norm.cdf(0.7) \
+        * norm.sf(1.3)
+    assert abs(got - want) <= 1e-15
 
 
 def test_signed_distance_zero_rho1():
-    w = 0.6
-    assert abs(th.signed_distance_t(0.0, 2.0, w)
-               - 2.0 / math.sqrt(1 - w * w)) <= 1e-14
+    # rho1 = 0: t21 = rho2 / sqrt(1 - w^2) and t12 = -rho2 w / sqrt(1 - w^2)
+    w, rho2 = 0.6, 2.0
+    sq = math.sqrt(1 - w * w)
+    want = math.exp(-0.5 * rho2 ** 2) * norm.cdf(rho2 / sq) \
+        * norm.cdf(-rho2 * w / sq) * sq
+    assert abs(th.estranged_integrand(0.0, rho2, w, "-", "-") - want) <= 1e-15
+
+
+def _inside_distance(t_a, rho_a, t_b, rho_b, point):
+    """Signed distance, inside line a, from its foot point to ``point``:
+    positive when the halfspace of line b contains the foot point."""
+    foot = rho_a * t_a  # closest point of line a to the origin
+    dist = float(np.linalg.norm(point - foot))
+    return dist if (t_b @ foot) < rho_b else -dist
 
 
 def test_signed_distance_planar_geometry_oracle():
-    # build two lines in the plane, intersect them explicitly, and measure
-    # the distance inside the first line with an explicit containment sign
+    # build two lines in the plane, intersect them explicitly, measure the
+    # offsets t21 and t12 with explicit containment signs, and check the
+    # ('-', '+') kernel exp(-(rho1^2 + rho2^2)/2) Phi(t21) (1 - Phi(t12))
+    # sqrt(1 - w^2) built on them
     rng = np.random.default_rng(99)
     for _ in range(50):
         rho1, rho2 = rng.uniform(0.05, 2.0, size=2)
@@ -255,17 +259,12 @@ def test_signed_distance_planar_geometry_oracle():
         t1 = np.array([1.0, 0.0])
         t2 = np.array([math.cos(ang), math.sin(ang)])
         point = np.linalg.solve(np.vstack([t1, t2]), [rho1, rho2])
-        foot = rho1 * t1  # closest point of line 1 to the origin
-        dist = float(np.linalg.norm(point - foot))
-        # halfspace of line 2 inside line 1: does it contain the foot point?
-        contains = (t2 @ foot) < rho2
-        want = dist if contains else -dist
-        assert abs(th.signed_distance_t(rho1, rho2, w) - want) <= 1e-9
-
-
-def test_signed_distance_domain():
-    with pytest.raises(ValueError):
-        th.signed_distance_t(1.0, 1.0, 1.0)
+        t21 = _inside_distance(t1, rho1, t2, rho2, point)
+        t12 = _inside_distance(t2, rho2, t1, rho1, point)
+        want = math.exp(-0.5 * (rho1 ** 2 + rho2 ** 2)) * norm.cdf(t21) \
+            * norm.sf(t12) * math.sqrt(1 - w * w)
+        got = th.estranged_integrand(rho1, rho2, w, "-", "+")
+        assert abs(got - want) <= 1e-12
 
 
 # ----------------------------------------------------------------- densities
