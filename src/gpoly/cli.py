@@ -302,7 +302,8 @@ def cmd_estranged(args) -> int:
     except experiments.ResourceCapError as exc:
         raise SystemExit(_usage_error(str(exc)))
     root = est.mean ** (1.0 / args.d) if est.mean > 0 else 0.0
-    reference = (4.0 if args.mode == "mc" else 1.0) * 0.4424
+    reference = (4.0 if args.mode == "mc" else 1.0) \
+        * theory.estranged_constant_reduced().value
     payload = {"command": "estranged", "params": params,
                "estimate": est.as_dict(),
                "root_per_dimension": root,

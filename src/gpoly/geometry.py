@@ -6,15 +6,17 @@ k-facet (exactly k points on one side). Facets of the convex hull are the
 0-facets, and two facets are estranged when their vertex sets are disjoint.
 
 Enumeration is brute force over all C(n, d) subsets, on blocks of point
-sets: ``_side_table`` takes a (T, n, d) block and is the one place that
-runs the on-band test and counts the points on each side. Profiles, facet
-masks and the Monte Carlo kernels all go through it, and a single point set
-is the block with T = 1. Numeric degeneracy (a point within the on-band of
-a hyperplane, or an affinely dependent subset) raises rather than
-tie-breaking silently, since Gaussian inputs hit it with probability zero;
-the error names the point set's row in the block. ``disjoint_pairs`` is
-the one test of which subsets share no point; the estranged-pair count and
-the estranged Monte Carlo kernel both use it.
+sets: profiles, facet masks and the Monte Carlo kernels all count sides
+through ``_side_table``, and a single point set is the block with T = 1.
+``disjoint_pairs`` is the one test of which subsets share no point.
+
+One degeneracy contract: ``signed_distances`` solves every subset's
+hyperplane relative to an anchor outside it in one batched solve, and
+sends a point set it cannot accept to the one reference path, SVD normals.
+There the rule of ``mathcore.degenerate``, which ``general_position_check``
+shares, and then the on-band test |distance| <= DEGENERACY_RTOL *
+max |coordinate| raise rather than tie-break, naming the point set's row,
+since Gaussian inputs hit them with probability zero.
 """
 
 from __future__ import annotations
@@ -24,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ON_BAND_RTOL = 1e-9
-AFFINE_DEP_RTOL = 1e-9
+from .mathcore import DEGENERACY_RTOL, coordinate_scale, degenerate
 
 _BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
 
@@ -87,13 +88,6 @@ class GeneralPositionReport:
     exhaustive: bool
 
 
-def _coordinate_scale(coords: np.ndarray) -> np.ndarray:
-    """Largest |coordinate| of each point set of a (T, n, d) block (1 when
-    all are zero)."""
-    scale = np.max(np.abs(coords), axis=(1, 2))
-    return np.where(scale > 0, scale, 1.0)
-
-
 def _as_block(coords) -> np.ndarray:
     """A (T, n, d) float block; one point set of shape (n, d) becomes T = 1."""
     coords = np.asarray(coords, dtype=float)
@@ -106,70 +100,91 @@ def subset_array(n: int, d: int) -> np.ndarray:
     return np.array(combos, dtype=np.intp).reshape(len(combos), d)
 
 
-def _dependent(sv: np.ndarray, scale) -> np.ndarray:
-    """The affine-dependence rule, from the singular values (..., k) of edge
-    matrices: sigma_min <= AFFINE_DEP_RTOL * max(sigma_max, scale). With no
-    edges (k = 0) nothing is dependent."""
-    return sv.min(axis=-1, initial=np.inf) <= \
-        AFFINE_DEP_RTOL * np.maximum(sv.max(axis=-1, initial=0.0), scale)
+def _outside(n: int, subsets: np.ndarray) -> np.ndarray:
+    """(c, n) mask of the points outside each subset."""
+    outside = np.ones(len(subsets) * n, dtype=bool)
+    outside[(subsets + n * np.arange(len(subsets))[:, None]).ravel()] = False
+    return outside.reshape(-1, n)
 
 
-def _hyperplane_arrays(pts: np.ndarray, scale: float, subsets, row: int):
-    """Unit normals (c, d) and offsets (c,) of the affine hulls of c d-point
-    subsets pts (c, d, d), by SVD, so hulls through the origin are handled.
+def _on_band(dist: np.ndarray, outside: np.ndarray, scale) -> np.ndarray:
+    """The on-band test: outside points of (..., c, n) distances within
+    DEGENERACY_RTOL times their coordinate scale (...,), or not a number."""
+    band = DEGENERACY_RTOL * np.asarray(scale)[..., None, None]
+    return ~(np.abs(dist) > band) & outside
 
-    Raises DegenerateSubsetError, naming ``row``, for the first affinely
-    dependent subset.
-    """
-    _, sv, vt = np.linalg.svd(pts[:, 1:] - pts[:, :1])
-    bad = _dependent(sv, scale)
+
+def _anchored_distances(block: np.ndarray, subsets: np.ndarray,
+                        anchors: np.ndarray):
+    """The fast path: distances to every subset's hyperplane
+    theta . (x - x_a) = 1, a the subset's anchor, from one batched solve of
+    (x_i - x_a) theta = 1 over its points x_i. A singular system makes every
+    distance NaN; a huge or non-finite theta leaves the anchor, at distance
+    -1 / |theta|, on the band, or its distances NaN."""
+    t, n, d = block.shape
+    lo, hi = anchors.min(initial=0), anchors.max(initial=0) + 1
+    # x_i - x_a for every point i and anchor a in lo..hi-1, in (n, T, d)
+    # order, so that the subtraction and the gather move whole (T, d) slabs
+    points = np.ascontiguousarray(block.transpose(1, 0, 2))
+    shifted = (points[None] - points[lo:hi, None]).reshape(-1, t, d)
+    systems = np.take(shifted, (anchors - lo)[:, None] * n + subsets,
+                      axis=0).transpose(2, 0, 1, 3)
+    try:
+        theta = np.linalg.solve(systems, np.ones((d, 1)))[..., 0]
+    except np.linalg.LinAlgError:
+        return np.full((t, len(subsets), n), np.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.einsum("tij,tij->ti", theta, theta))
+        # a contiguous (T, d, n) operand halves the matmul time of a view
+        dist = np.matmul(theta, np.ascontiguousarray(block.swapaxes(-1, -2)))
+        dist -= 1.0 + dist[:, np.arange(len(subsets)), anchors, None]
+        dist /= norms[..., None]
+    return dist
+
+
+def _reference_distances(pts: np.ndarray, subsets: np.ndarray, row: int):
+    """The reference path for one point set pts (n, d): distances along the
+    SVD unit normals of every subset. The degeneracy rule goes first, over
+    every subset, then the on-band test; each raises its error, naming
+    ``row``, for the first subset (and point) in order."""
+    scale = coordinate_scale(pts)
+    sub = pts[subsets]
+    _, sv, vt = np.linalg.svd(sub[:, 1:] - sub[:, :1])
+    bad = degenerate(sv, scale)
     if bad.any():
         raise DegenerateSubsetError(subsets[np.argmax(bad)], row)
     normals = vt[:, -1]
-    return normals, np.einsum("ij,ij->i", normals, pts[:, 0])
-
-
-def _solved_distances(block: np.ndarray, subsets: np.ndarray):
-    """Distances to the hulls theta . x = 1 from one batched solve of
-    A theta = 1, or None when some A is singular or the solve overflows."""
-    try:
-        # np.take gathers the (T, c, d, d) systems faster than block[:, subsets]
-        theta = np.linalg.solve(np.take(block, subsets, axis=1),
-                                np.ones((block.shape[-1], 1)))[..., 0]
-    except np.linalg.LinAlgError:
-        return None
-    if not np.all(np.isfinite(theta)):
-        return None
-    norms = np.sqrt(np.einsum("tij,tij->ti", theta, theta))
-    # a contiguous (T, d, n) operand halves the matmul time of a view
-    points = np.ascontiguousarray(block.swapaxes(-1, -2))
-    return (np.matmul(theta, points) - 1.0) / norms[..., None]
+    dist = normals @ pts.T - np.einsum("ij,ij->i", normals, sub[:, 0])[:, None]
+    on = _on_band(dist, _outside(len(pts), subsets), scale)
+    if on.any():
+        i, j = np.argwhere(on)[0]
+        raise DegeneracyError(subsets[i], j, row)
+    return dist
 
 
 def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Distance of every point to the affine hull of every subset.
 
     Returns shape (len(subsets), n) for coordinates of shape (n, d), and
-    (T, len(subsets), n) for a block of T point sets of shape (T, n, d).
-    The sign convention per subset is arbitrary but internally consistent,
-    which is all side counting needs. One batched solve of A theta = 1
-    serves the block. When a hull passes through the origin (singular A),
-    each point set is solved on its own, and one whose solve still fails
-    takes SVD normals at its own coordinate scale; DegenerateSubsetError
-    then names its row.
+    (T, len(subsets), n) for a block of T point sets of shape (T, n, d),
+    with an arbitrary but consistent sign per subset. The fast path solves
+    relative to the anchor, the smallest index outside the subset, so a
+    singular system means degenerate input; it rejects a point set whose
+    solve is singular or non-finite, that has an outside point on the band,
+    or that has no anchor (n = d). Rejected point sets go, in order, to the
+    reference path, which raises the error naming their row or supplies
+    their distances.
     """
     block = _as_block(coords)
-    dist = _solved_distances(block, subsets)
-    if dist is None:
-        rows = []
-        for r, (pts, s) in enumerate(zip(block, _coordinate_scale(block))):
-            alone = _solved_distances(pts[None], subsets)
-            if alone is None:
-                normals, offsets = _hyperplane_arrays(pts[subsets], s,
-                                                      subsets, r)
-                alone = (normals @ pts.T - offsets[:, None])[None]
-            rows.append(alone[0])
-        dist = np.stack(rows)
+    n, d = block.shape[1:]
+    outside = _outside(n, subsets)
+    scale = coordinate_scale(block)
+    # with n = d a subset has no anchor: argmax names one of its own points,
+    # whose zero row makes the system singular
+    dist = _anchored_distances(block, subsets, np.argmax(outside, axis=1))
+    rejected = _on_band(dist, outside, scale).any(axis=(1, 2)) | (n == d)
+    for r in np.flatnonzero(rejected):
+        dist[r] = _reference_distances(block[r], subsets, r)
     return dist if np.ndim(coords) == 3 else dist[0]
 
 
@@ -178,41 +193,25 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
 
     Yields (rows, cols, below), slices and a table: below[t, j] counts the
     points outside subset subsets[cols][j] strictly below its hyperplane in
-    point set coords[rows][t]; the other n - d - below lie strictly above.
-    Each numpy call covers at most _BLOCK (point set, subset) pairs:
-    max(1, _BLOCK // c) point sets at a time, and chunks of subsets when
-    c > _BLOCK. Point sets come in order, so the error raised is the one
-    they would raise one at a time: DegenerateSubsetError for an affinely
-    dependent subset, or DegeneracyError for an outside point in the
-    on-band |distance| <= ON_BAND_RTOL * max |coordinate|. Both name the
-    row of the point set.
+    point set coords[rows][t]; the other n - d - below lie strictly above,
+    as none is on the band. Each numpy call covers at most _BLOCK (point
+    set, subset) pairs: max(1, _BLOCK // c) point sets at a time, and chunks
+    of subsets when c > _BLOCK. Point sets come in order, so the error
+    raised, naming the row of its point set, is the one they would raise
+    one at a time.
     """
-    n = coords.shape[1]
     c = len(subsets)
-    scale = _coordinate_scale(coords)
-    outside = np.ones((c, n), dtype=bool)
-    np.put_along_axis(outside, subsets, False, axis=1)
+    outside = _outside(coords.shape[1], subsets)
     step = max(1, _BLOCK // c)
     for lo in range(0, len(coords), step):
         for s0 in range(0, c, _BLOCK):
             rows, cols = slice(lo, lo + step), slice(s0, s0 + _BLOCK)
-            chunk, out = subsets[cols], outside[cols]
-            dependent = None
             try:
-                dist = signed_distances(coords[rows], chunk)
-            except DegenerateSubsetError as err:
-                # an on-band point in an earlier point set comes first
-                dependent = DegenerateSubsetError(err.subset, lo + err.row)
-                rows = slice(lo, lo + err.row)
-                dist = signed_distances(coords[rows], chunk)
-            band = ON_BAND_RTOL * scale[rows, None, None]
-            on = (np.abs(dist) <= band) & out
-            if on.any():
-                t, i, j = np.argwhere(on)[0]
-                raise DegeneracyError(chunk[i], j, lo + t)
-            if dependent is not None:
-                raise dependent
-            yield rows, cols, ((dist < -band) & out).sum(axis=2)
+                dist = signed_distances(coords[rows], subsets[cols])
+            except (DegenerateSubsetError, DegeneracyError) as err:
+                err.row += lo
+                raise
+            yield rows, cols, ((dist < 0) & outside[cols]).sum(axis=2)
 
 
 def profile_counts(coords: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
@@ -303,8 +302,8 @@ def general_position_check(ps, exhaustive_max_n: int = 16,
 
     Exhaustive for n <= exhaustive_max_n, otherwise a fixed-seed random
     sample of subsets. A subset fails by the dependence rule of the SVD
-    hyperplanes: sigma_min(edges) <= AFFINE_DEP_RTOL * max(sigma_max,
-    max |coordinate|).
+    reference path, ``mathcore.degenerate``: sigma_min(edges) <=
+    DEGENERACY_RTOL * max(sigma_max, max |coordinate|).
     """
     coords = ps.coords
     n, d = ps.n, ps.d
@@ -319,7 +318,7 @@ def general_position_check(ps, exhaustive_max_n: int = 16,
         exhaustive = False
     pts = coords[subs]
     sv = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)
-    bad = _dependent(sv, _coordinate_scale(coords[None])[0])
+    bad = degenerate(sv, coordinate_scale(coords))
     violations = [tuple(int(i) for i in subs[i])
                   for i in np.nonzero(bad)[0][:max_reported]]
     return GeneralPositionReport(passed=not bad.any(), violations=violations,

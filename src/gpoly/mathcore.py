@@ -1,25 +1,26 @@
-"""Numeric substrate: small dense linear algebra, Gaussian special functions,
-adaptive 1-D quadrature, and derivative-free maximization over boxes.
+"""Numeric substrate: the degeneracy rule, simplex volumes, Gaussian special
+functions, adaptive 1-D quadrature, and derivative-free maximization over
+boxes.
 
-Everything here is a pure function of its inputs. Determinants go through
-LU with partial pivoting (LAPACK); a pivot smaller than ``PIVOT_RTOL`` times
-the largest row norm is treated as singular.
-Maximization never assumes unimodality: a dense grid scan is always followed
-by local refinement, and the reported value is the best point actually
-evaluated.
+Everything here is a pure function of its inputs. One rule, with one
+tolerance, decides every degeneracy in the package (``degenerate``):
+simplex volumes, the geometry's SVD reference path and general-position
+audits all apply it, and the geometry's on-band width is the same
+tolerance. Maximization never assumes unimodality: a dense grid scan is
+always followed by local refinement, and the reported value is the best
+point actually evaluated.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, linalg, optimize, special
+from scipy import integrate, optimize, special
 
-PIVOT_RTOL = 1e-12
+DEGENERACY_RTOL = 1e-9
 
 
 class QuadratureError(RuntimeError):
@@ -33,27 +34,19 @@ class QuadratureError(RuntimeError):
         self.evaluations = evaluations
 
 
-def _as_square(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    return a
+def coordinate_scale(coords: np.ndarray) -> np.ndarray:
+    """Largest |coordinate| of each point set of a (..., m, n) block (1 when
+    all are zero)."""
+    scale = np.max(np.abs(coords), axis=(-2, -1))
+    return np.where(scale > 0, scale, 1.0)
 
 
-def determinant(a) -> float:
-    """LU-based determinant; returns 0.0 when a pivot magnitude falls below
-    PIVOT_RTOL times the largest row norm."""
-    a = _as_square(a)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", linalg.LinAlgWarning)
-        lu, piv = linalg.lu_factor(a, check_finite=False)
-    row_scale = np.max(np.linalg.norm(a, axis=1))
-    if row_scale == 0.0 or np.min(np.abs(np.diag(lu))) < PIVOT_RTOL * row_scale:
-        return 0.0
-    sign = 1.0 if np.count_nonzero(piv != np.arange(a.shape[0])) % 2 == 0 else -1.0
-    return sign * float(np.prod(np.diag(lu)))
+def degenerate(sv: np.ndarray, scale) -> np.ndarray:
+    """The degeneracy rule, from the singular values (..., k) of edge
+    matrices: sigma_min <= DEGENERACY_RTOL * max(sigma_max, scale). With no
+    edges (k = 0) nothing is degenerate."""
+    return sv.min(axis=-1, initial=np.inf) <= \
+        DEGENERACY_RTOL * np.maximum(sv.max(axis=-1, initial=0.0), scale)
 
 
 def simplex_volume(points):
@@ -65,10 +58,13 @@ def simplex_volume(points):
     |det| / (m-1)!; otherwise the Gram determinant of the edges supplies the
     embedded volume.
 
-    One ``np.linalg.det`` serves the whole block. Partial pivoting bounds
-    the i-th pivot by 2^(i-1) times the largest row norm, so a matrix that
-    ``determinant`` calls singular has |det| <= PIVOT_RTOL 2^(k(k-1)/2)
-    rowscale^k; rows under that screen are decided by ``determinant``.
+    One ``np.linalg.det`` serves the whole block. A simplex is degenerate,
+    with volume 0, by the rule of ``degenerate`` on its edge matrix E, at
+    the scale of its coordinates. Since sigma_max <= ||E||_F, such an E has
+    |det E| <= DEGENERACY_RTOL F^k and det(E E^T) <= DEGENERACY_RTOL^2
+    F^(2k), F = max(||E||_F, scale). Rows under DEGENERACY_RTOL F^k, or
+    DEGENERACY_RTOL F^(2k) for the Gram determinant (room for its rounding),
+    take the SVD that applies the rule; the others keep their determinant.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (2, 3):
@@ -85,12 +81,14 @@ def simplex_volume(points):
         raise ValueError("matrix entries must be finite")
     k = m - 1
     dets = np.linalg.det(mats)
-    row_scale = np.max(np.linalg.norm(mats, axis=2), axis=1)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+    scale = coordinate_scale(block)
+    with np.errstate(over="ignore"):
         # overflows to inf for large k, which sends every row to the rule
-        screen = PIVOT_RTOL * np.exp2(k * (k - 1) / 2) * row_scale ** k
-    for t in np.flatnonzero(np.abs(dets) <= screen):
-        dets[t] = determinant(mats[t])
+        screen = DEGENERACY_RTOL * np.maximum(np.linalg.norm(
+            edges, axis=(1, 2)), scale) ** (k if square else 2 * k)
+    rows = np.flatnonzero(np.abs(dets) <= screen)
+    sv = np.linalg.svd(edges[rows], compute_uv=False)
+    dets[rows[degenerate(sv, scale[rows])]] = 0.0
     vols = (np.abs(dets) if square else np.sqrt(np.maximum(dets, 0.0))) \
         / math.factorial(k)
     return float(vols[0]) if pts.ndim == 2 else vols

@@ -310,8 +310,7 @@ def test_stdout_matches_fixture(command):
     assert out == PARENT_STDOUT[command]
 
 
-@pytest.mark.parametrize("alt, calls", [(False, 1)])
-def test_constants_kfacet_c_alpha_r_calls(monkeypatch, alt, calls):
+def test_constants_kfacet_c_alpha_r_calls(monkeypatch):
     # the growth base reuses c
     plain = theory.c_alpha_r
     seen = []
@@ -323,7 +322,7 @@ def test_constants_kfacet_c_alpha_r_calls(monkeypatch, alt, calls):
     monkeypatch.setattr(theory, "c_alpha_r", counting)
     command = "constants kfacet --alpha 2.5 --r 0.3"
     code, out, _ = run_cli(command.split())
-    assert code == 0 and len(seen) == calls
+    assert code == 0 and len(seen) == 1
     assert out == PARENT_STDOUT[command]
 
 

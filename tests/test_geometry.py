@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -104,8 +105,8 @@ def test_hyperplane_contains_defining_points():
 
 
 def test_hyperplane_degenerate_subset():
-    # collinear and through the origin: the solve is singular, and the SVD
-    # fallback finds the dependence
+    # collinear: the anchored system is singular, and the SVD reference
+    # path finds the dependence
     ps = PointSet.from_coords([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     with pytest.raises(geo.DegenerateSubsetError) as err:
@@ -165,8 +166,7 @@ def test_signed_distances_block_matches_point_sets():
     subsets = geo.subset_array(6, 3)
     block = np.stack([gauss(seed, 6, 3).coords for seed in range(5)])
     # in point set 2 the hull of points 0, 1, 2 passes through the origin
-    # (the midpoint of 0 and 1): its solve is singular, and the block takes
-    # the fallback
+    # (the midpoint of 0 and 1), which the anchored solve does not notice
     block[2, 1] = -block[2, 0]
     for coords in (block[[0, 1, 3, 4]], block):
         dist = geo.signed_distances(coords, subsets)
@@ -198,7 +198,7 @@ def test_on_band_hit():
 def test_block_errors_come_in_point_set_order():
     subsets = geo.subset_array(5, 2)
     block = np.stack([gauss(seed, 5, 2).coords for seed in range(4)])
-    block[2, 1] = block[2, 0]  # a dependent subset: only the SVD sees it
+    block[2, 1] = block[2, 0]  # a dependent subset, named by the SVD rule
     block[1, 4] = 0.5 * (block[1, 0] + block[1, 2])  # on-band, earlier row
     with pytest.raises(geo.DegeneracyError) as err:
         geo.facet_mask(block, subsets)
@@ -211,8 +211,8 @@ def test_block_errors_come_in_point_set_order():
 
 
 def test_block_counts_match_point_sets():
-    # point set 2 has a hull through the origin, so its block takes the
-    # per-point-set fallback; every row must count as its T = 1 call
+    # point set 2 has a hull through the origin; every row must count as
+    # its T = 1 call
     block = np.stack([gauss(seed, 6, 3).coords for seed in range(5)])
     block[2, 1] = -block[2, 0]
     subsets = geo.subset_array(6, 3)
@@ -452,3 +452,111 @@ def test_general_position_sampled_mode():
     assert np.all(np.diff(rows, axis=1) > 0)  # sorted and distinct
     assert rows.min() >= 0 and rows.max() < 40
     assert runs[1].violations == runs[0].violations
+
+
+# ------------------------------------------------------- degeneracy contract
+
+def test_short_edge_raises_on_the_edge():
+    # point 1 sits 1e-13 from point 0: every entry point names the edge
+    # (0, 1), the first subset general_position_check reports, not a point
+    # on the band of a subset through one of its ends
+    coords = gauss(1, 6, 2).coords.copy()
+    coords[1] = coords[0] + [1e-13, 0.0]
+    ps = PointSet.from_coords(coords)
+    subsets = geo.subset_array(6, 2)
+    assert geo.general_position_check(ps).violations[0][:2] == (0, 1)
+    for call in (lambda: geo.kfacet_profile(ps),
+                 lambda: geo.profile_counts(coords),
+                 lambda: geo.facet_mask(coords, subsets)):
+        with pytest.raises(geo.DegenerateSubsetError) as err:
+            call()
+        assert (err.value.row, err.value.subset) == (0, (0, 1))
+
+
+def test_hull_through_anchor_names_the_anchor():
+    # point 3 is the centroid of points 0, 1, 2, exactly, and the plane of
+    # (0, 1, 2) also passes through the origin: the system of (0, 1, 2),
+    # anchored at 3, is singular, and the reference path names point 3
+    coords = gauss(2, 6, 3).coords.copy()
+    coords[:4] = [[2.0, -1.0, -1.0], [-1.0, 2.0, -1.0], [-1.0, -1.0, 2.0],
+                  [0.0, 0.0, 0.0]]
+    first = geo.subset_array(3, 3)
+    block = np.stack([gauss(3, 6, 3).coords, coords, gauss(4, 6, 3).coords])
+    for call, row in ((lambda: geo.profile_counts(coords, first), 0),
+                      (lambda: geo.profile_counts(block), 1),
+                      (lambda: geo.facet_mask(block, first), 1)):
+        with pytest.raises(geo.DegeneracyError) as err:
+            call()
+        assert (err.value.row, err.value.subset, err.value.point_index) \
+            == (row, (0, 1, 2), 3)
+
+
+def exact_orientations(coords, subsets):
+    """Sign of det [x_s1, 1; ...; x_sd, 1; x_j, 1] for every subset s and
+    point j outside it (0 on its own points), in exact rational arithmetic:
+    each float coordinate is the dyadic rational it stores."""
+    lifted = [[Fraction(float(v)) for v in row] + [Fraction(1)]
+              for row in coords]
+    signs = np.zeros((len(subsets), len(coords)), dtype=int)
+    for i, s in enumerate(subsets):
+        for j in set(range(len(coords))) - set(s):
+            m = [list(lifted[k]) for k in s] + [list(lifted[j])]
+            det = Fraction(1)
+            for c in range(len(m)):  # Gaussian elimination
+                p = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+                if p is None:
+                    det = Fraction(0)
+                    break
+                m[c], m[p] = m[p], m[c]
+                det *= m[c][c] if p == c else -m[c][c]
+                for r in range(c + 1, len(m)):
+                    f = m[r][c] / m[c][c]
+                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+            signs[i, j] = (det > 0) - (det < 0)
+    return signs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from(["push", "short", "origin", "anchor"]),
+       st.integers(6, 15))
+def test_side_decisions_match_exact_orientations(d, extra, seed, kind,
+                                                 exponent):
+    # near-degenerate inputs: a point pushed 10^-exponent * scale from a
+    # subset's hyperplane, an edge that short, a subset's hull through the
+    # origin or through its anchor. Every count must follow the exact
+    # orientation signs, or the call must raise the reference path's error.
+    n = d + 1 + extra
+    rng = np.random.default_rng(seed)
+    coords = rng.standard_normal((n, d))
+    subset = np.sort(rng.choice(n, d, replace=False))
+    others = [j for j in range(n) if j not in subset]
+    eps = 10.0 ** -exponent * np.abs(coords).max()
+    if kind == "push":
+        normal = np.linalg.svd(coords[subset[1:]] - coords[subset[0]])[2][-1]
+        p = rng.choice(others)
+        coords[p] -= (normal @ (coords[p] - coords[subset[0]]) - eps) * normal
+    elif kind == "short":
+        i, j = rng.choice(n, 2, replace=False)
+        step = rng.standard_normal(d)
+        coords[j] = coords[i] + eps * step / np.linalg.norm(step)
+    elif kind == "origin":
+        coords -= rng.dirichlet(np.ones(d)) @ coords[subset]
+    else:
+        coords[others[0]] = rng.dirichlet(np.ones(d)) @ coords[subset]
+    subsets = geo.subset_array(n, d)
+    try:
+        got = geo.profile_counts(coords), geo.facet_mask(coords, subsets)
+    except (geo.DegeneracyError, geo.DegenerateSubsetError) as err:
+        with pytest.raises(type(err)) as ref:
+            geo._reference_distances(coords, subsets, 0)
+        assert vars(ref.value) == vars(err)
+        return
+    signs = exact_orientations(coords, subsets)
+    below, above = (signs < 0).sum(axis=1), (signs > 0).sum(axis=1)
+    assert np.all(below + above == n - d)  # no point on a hyperplane
+    want = np.bincount(below, minlength=n - d + 1) \
+        + np.bincount(above, minlength=n - d + 1) \
+        - np.bincount(below[below == above], minlength=n - d + 1)
+    assert np.array_equal(got[0], want)
+    assert np.array_equal(got[1], (below == 0) | (above == 0))

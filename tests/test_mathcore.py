@@ -9,28 +9,6 @@ from scipy.stats import norm
 from gpoly import mathcore as mc
 
 
-# ------------------------------------------------------------- determinant
-
-def test_determinant_examples():
-    assert mc.determinant(np.eye(4)) == 1.0
-    assert mc.determinant([[0.0, 1.0], [1.0, 0.0]]) == -1.0
-    assert abs(mc.determinant([[2.0, 1.0], [1.0, 2.0]]) - 3.0) <= 1e-12
-
-
-def test_determinant_singular_returns_zero():
-    assert mc.determinant([[1.0, 2.0], [2.0, 4.0]]) == 0.0
-
-
-def test_determinant_product_property():
-    rng = np.random.default_rng(11)
-    for _ in range(20):
-        a = rng.standard_normal((5, 5))
-        b = rng.standard_normal((5, 5))
-        lhs = mc.determinant(a @ b)
-        rhs = mc.determinant(a) * mc.determinant(b)
-        assert abs(lhs - rhs) <= 1e-8 * max(abs(lhs), abs(rhs), 1e-30)
-
-
 # ------------------------------------------------------------ simplex volume
 
 def test_simplex_volume_segment():
@@ -75,7 +53,7 @@ def test_simplex_volume_block_matches_scalar_calls():
 
 def test_simplex_volume_block_singular_row_is_zero():
     # row 3 is a triangle 1e-14 from collinear: np.linalg.det sees a nonzero
-    # area, the pivot rule calls it singular, and the block must agree
+    # area, the degeneracy rule calls it singular, and the block must agree
     block = np.random.default_rng(6).standard_normal((8, 3, 2))
     block[3] = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0 + 1e-14]]
     assert np.linalg.det(block[3, 1:] - block[3, 0]) != 0.0
@@ -86,7 +64,7 @@ def test_simplex_volume_block_singular_row_is_zero():
 
 
 def test_simplex_volume_high_dimension():
-    # the pivot screen overflows past k = 45 and must fall back, not raise
+    # the screen sends the row to the SVD rule, which keeps its determinant
     pts = np.random.default_rng(0).standard_normal((61, 60))
     edges = pts[1:] - pts[0]
     want = abs(np.linalg.det(edges)) / math.factorial(60)
