@@ -1,17 +1,27 @@
 """Command-line surface: sampling, enumeration, exact formulas, constants,
 Monte Carlo experiments, and the verification suite.
 
+``main`` is the one path every command runs through. It expands
+``--params``, parses with the parser it builds once per process, and calls
+the command: a function of the parsed flags that returns an ``Output``, its
+parameter map, primary text and exit code, and any note for after the text.
+``main`` writes the text to stdout, or to --out, where it also appends a run
+record (the argv ``main`` was given, the parameters, timestamps and an
+output digest) to runs.jsonl next to the output file; then it writes the
+note. It maps every usage error, a resource cap included, to
+``gpoly: error: ...`` and exit 2, and an I/O error to exit 1; argparse's
+own parse errors exit 2 as argparse does.
+
 Every command is a pure function of its flags and seed: rerunning with the
 same arguments produces byte-identical primary output (``--workers`` and
-GPOLY_WORKERS are accepted and ignored). Primary output (JSON or CSV) goes
-to stdout, or to --out when given; writing to --out also appends a run
-record (with timestamps and an output digest) to runs.jsonl next to the
-output file. Exit codes: 0 success, 1 verification failure, 2 usage error.
+GPOLY_WORKERS are accepted and ignored). Exit codes: 0 success, 1
+verification failure, 2 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -19,8 +29,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
-
-import numpy as np
+from typing import NamedTuple
 
 from . import __version__, experiments, theory
 from .sampling import gaussian_point_set, stream
@@ -34,25 +43,20 @@ _WORKERS_HELP = ("accepted for compatibility and ignored: Monte Carlo runs "
                  "are single-threaded")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+class Output(NamedTuple):
+    """What a command returns to ``main``."""
+
+    params: dict
+    text: str  # the primary output, for stdout or --out
+    code: int = 0
+    note: str = ""  # written after the primary output, to stderr
+    note_to_stdout: bool = False  # or to stdout, when --out left it free
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), sort_keys=True, indent=2,
-                      separators=(",", ": ")) + "\n"
+    return json.dumps(payload, sort_keys=True, indent=2,
+                      separators=(",", ": "),
+                      default=lambda o: o.tolist()) + "\n"
 
 
 def _positive_int(text: str) -> int:
@@ -66,32 +70,8 @@ def _seed(text: str) -> int:
     return int(text) % (1 << 64)
 
 
-def _emit(args, text: str, record: dict) -> None:
-    """Write the primary output to stdout or --out; record the run if filed."""
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        _append_run_record(args, text, record)
-        sys.stderr.write(f"wrote {args.out}\n")
-    else:
-        sys.stdout.write(text)
-
-
-def _append_run_record(args, text: str, record: dict) -> None:
-    out_dir = os.path.dirname(os.path.abspath(args.out))
-    entry = {
-        "command": record["command"],
-        "argv": record["argv"],
-        "params": record["params"],
-        "master_seed": record.get("master_seed"),
-        "started_at": record["started_at"],
-        "finished_at": datetime.now(timezone.utc).isoformat(),
-        "output_path": os.path.abspath(args.out),
-        "output_sha256": hashlib.sha256(text.encode()).hexdigest(),
-        "artifact_version": __version__,
-    }
-    with open(os.path.join(out_dir, "runs.jsonl"), "a") as fh:
-        fh.write(json.dumps(_jsonable(entry), sort_keys=True) + "\n")
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
 def _merge_params_file(argv: list[str]) -> list[str]:
@@ -104,30 +84,36 @@ def _merge_params_file(argv: list[str]) -> list[str]:
         return argv
     i = argv.index("--params")
     if i + 1 >= len(argv):
-        raise SystemExit(2)
+        raise ValueError("--params needs a file path")
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2:]
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"cannot read params file: {exc}") from exc
     injected: list[str] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if value.lower() in ("true", ""):
-                injected.append(f"--{key}")
-            elif value.lower() == "false":
-                continue
-            else:
-                injected.extend([f"--{key}", value])
+    for line in lines:
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if value.lower() in ("true", ""):
+            injected.append(f"--{key}")
+        elif value.lower() == "false":
+            continue
+        else:
+            injected.extend([f"--{key}", value])
     # flags live after the subcommand token; inject right behind it
     if not rest:
         return injected
     return rest[:1] + injected + rest[1:]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The gpoly parser, built on first use and kept for the process."""
     parser = argparse.ArgumentParser(
         prog="gpoly",
         description="Gaussian random point sets: sampling, k-facet "
@@ -193,45 +179,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _start_record(args, command: str, params: dict) -> dict:
-    return {"command": command, "argv": sys.argv[1:], "params": params,
-            "master_seed": params.get("seed"),
-            "started_at": datetime.now(timezone.utc).isoformat()}
-
-
-def cmd_sample(args) -> int:
-    record = _start_record(args, "sample",
-                           {"d": args.d, "n": args.n, "seed": args.seed})
+def cmd_sample(args) -> Output:
     ps = gaussian_point_set(stream(args.seed, 0), args.n, args.d)
     buf = io.StringIO()
     ps.write_csv(buf)
-    text = buf.getvalue()
-    _emit(args, text, record)
     provenance = _dump_json({"command": "sample", "n": args.n, "d": args.d,
                              "master_seed": args.seed, "stream_id": 0})
-    (sys.stdout if args.out else sys.stderr).write(provenance)
-    return 0
+    return Output({"d": args.d, "n": args.n, "seed": args.seed},
+                  buf.getvalue(), note=provenance,
+                  note_to_stdout=bool(args.out))
 
 
-def cmd_kfacets(args) -> int:
+def cmd_kfacets(args) -> Output:
     if args.all_k == (args.k is not None):
-        raise SystemExit(_usage_error("pass exactly one of --k or --all-k"))
-    ks = list(range(args.n - args.d + 1)) if args.all_k else [args.k]
-    for k in ks:
-        if not 0 <= k <= args.n - args.d:
-            raise SystemExit(_usage_error(f"k = {k} outside 0..{args.n - args.d}"))
+        raise ValueError("pass exactly one of --k or --all-k")
+    m = args.n - args.d
+    if not args.all_k and not 0 <= args.k <= m:
+        raise ValueError(f"k = {args.k} outside 0..{m}")
+    ks = list(range(m + 1)) if args.all_k else [args.k]
     params = {"mode": args.mode, "n": args.n, "d": args.d,
               "k": None if args.all_k else args.k, "all_k": args.all_k,
               "seed": args.seed,
               "trials": None if args.mode == "exact" else args.trials}
-    record = _start_record(args, "kfacets", params)
-
     results = []
-    if args.mode == "mc" and args.all_k:
+    if args.mode == "mc":
         ests = experiments.kfacet_profile_expectation_mc(
             args.n, args.d, args.trials, args.seed)
-        results = [{"k": k, "expectation": est.as_dict()}
-                   for k, est in enumerate(ests)]
+        results = [{"k": k, "expectation": ests[k].as_dict()} for k in ks]
     else:
         for k in ks:
             if args.mode == "exact":
@@ -241,10 +215,6 @@ def cmd_kfacets(args) -> int:
                 results.append({"k": k, "probability": p,
                                 "expectation": math.exp(log_e),
                                 "log_expectation": log_e})
-            elif args.mode == "mc":
-                est = experiments.kfacet_expectation_mc(
-                    args.n, args.d, k, args.trials, args.seed)
-                results.append({"k": k, "expectation": est.as_dict()})
             else:
                 est = experiments.reduced_kfacet_probability_mc(
                     args.n, args.d, k, args.trials, args.seed)
@@ -254,19 +224,17 @@ def cmd_kfacets(args) -> int:
                     "implied_expectation": {"mean": est.mean * scale,
                                             "std_error": est.std_error * scale},
                 })
-    _emit(args, _dump_json({"command": "kfacets", "params": params,
-                            "results": results}), record)
-    return 0
+    return Output(params, _dump_json({"command": "kfacets", "params": params,
+                                      "results": results}))
 
 
-def cmd_constants(args) -> int:
+def cmd_constants(args) -> Output:
     if args.target == "kfacet":
         if args.alpha is None or args.r is None:
-            raise SystemExit(_usage_error("kfacet constants need --alpha and --r"))
+            raise ValueError("kfacet constants need --alpha and --r")
         if args.alpha <= 1.0 or not 0.0 <= args.r <= 1.0:
-            raise SystemExit(_usage_error("need alpha > 1 and r in [0, 1]"))
+            raise ValueError("need alpha > 1 and r in [0, 1]")
         params = {"alpha": args.alpha, "r": args.r}
-        record = _start_record(args, "constants", params)
         c = theory.c_alpha_r(args.alpha, args.r)
         payload = {"command": "constants", "target": "kfacet",
                    "params": params,
@@ -275,7 +243,6 @@ def cmd_constants(args) -> int:
                        args.alpha, args.r, c.value)}
     else:
         params = {}
-        record = _start_record(args, "constants", params)
         signs = [("-", "-"), ("+", "-"), ("-", "+"), ("+", "+")]
         constants = [theory.estranged_constant(s1, s2).as_record(
             f"estranged[{s1}{s2}]") for s1, s2 in signs]
@@ -284,23 +251,18 @@ def cmd_constants(args) -> int:
         payload = {"command": "constants", "target": "estranged",
                    "constants": constants, "reduced": reduced,
                    "four_c": 4.0 * reduced["value"]}
-    _emit(args, _dump_json(payload), record)
-    return 0
+    return Output(params, _dump_json(payload))
 
 
-def cmd_estranged(args) -> int:
+def cmd_estranged(args) -> Output:
     params = {"mode": args.mode, "d": args.d, "trials": args.trials,
               "seed": args.seed}
-    record = _start_record(args, "estranged", params)
-    try:
-        if args.mode == "mc":
-            est = experiments.estranged_expectation_mc(
-                args.d, args.trials, args.seed)
-        else:
-            est = experiments.pair_facet_probability_mc(
-                args.d, args.trials, args.seed)
-    except experiments.ResourceCapError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    if args.mode == "mc":
+        est = experiments.estranged_expectation_mc(
+            args.d, args.trials, args.seed)
+    else:
+        est = experiments.pair_facet_probability_mc(
+            args.d, args.trials, args.seed)
     root = est.mean ** (1.0 / args.d) if est.mean > 0 else 0.0
     reference = (4.0 if args.mode == "mc" else 1.0) \
         * theory.estranged_constant_reduced().value
@@ -308,8 +270,7 @@ def cmd_estranged(args) -> int:
                "estimate": est.as_dict(),
                "root_per_dimension": root,
                "reference_base": reference}
-    _emit(args, _dump_json(payload), record)
-    return 0
+    return Output(params, _dump_json(payload))
 
 
 def _suite_checks(suite: str, seed: int, trials: int):
@@ -347,59 +308,72 @@ def _suite_checks(suite: str, seed: int, trials: int):
     return checks
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Output:
     params = {"suite": args.suite, "seed": args.seed, "trials": args.trials}
-    record = _start_record(args, "verify", params)
     checks = _suite_checks(args.suite, args.seed, args.trials)
-    passed = all(c.passed for c in checks)
+    failed = [c.name for c in checks if not c.passed]
     payload = {"command": "verify", "params": params,
                "checks": [c.as_dict() for c in checks],
-               "passed": passed,
-               "failed_checks": [c.name for c in checks if not c.passed]}
-    _emit(args, _dump_json(payload), record)
-    if not passed:
-        sys.stderr.write("failed: " + ", ".join(payload["failed_checks"]) + "\n")
-        return 1
-    return 0
+               "passed": not failed,
+               "failed_checks": failed}
+    if not failed:
+        return Output(params, _dump_json(payload))
+    return Output(params, _dump_json(payload), 1,
+                  "failed: " + ", ".join(failed) + "\n")
 
 
-def cmd_growth(args) -> int:
+def cmd_growth(args) -> Output:
     if args.alpha <= 1.0:
-        raise SystemExit(_usage_error("need alpha > 1"))
+        raise ValueError("need alpha > 1")
     if args.d_max < args.d_min:
-        raise SystemExit(_usage_error("need d-max >= d-min"))
+        raise ValueError("need d-max >= d-min")
     params = {"alpha": args.alpha, "d_min": args.d_min, "d_max": args.d_max,
               "k_mode": args.k_mode, "trials": args.trials, "seed": args.seed}
-    record = _start_record(args, "growth", params)
-    try:
-        rows = experiments.facet_growth_table(
-            args.alpha, range(args.d_min, args.d_max + 1), args.trials,
-            args.seed, k_mode=args.k_mode)
-    except experiments.ResourceCapError as exc:
-        raise SystemExit(_usage_error(str(exc)))
+    rows = experiments.facet_growth_table(
+        args.alpha, range(args.d_min, args.d_max + 1), args.trials,
+        args.seed, k_mode=args.k_mode)
     buf = io.StringIO()
     experiments.growth_rows_to_csv(rows, buf)
-    _emit(args, buf.getvalue(), record)
-    return 0
+    return Output(params, buf.getvalue())
 
 
-def _usage_error(message: str) -> int:
-    sys.stderr.write(f"gpoly: error: {message}\n")
-    return 2
+def _run_record(args, argv: list[str], started_at: str, out: Output) -> str:
+    """The runs.jsonl line for one run filed to --out."""
+    return json.dumps({
+        "command": args.command,
+        "argv": argv,
+        "params": out.params,
+        "master_seed": out.params.get("seed"),
+        "started_at": started_at,
+        "finished_at": _now(),
+        "output_path": os.path.abspath(args.out),
+        "output_sha256": hashlib.sha256(out.text.encode()).hexdigest(),
+        "artifact_version": __version__,
+    }, sort_keys=True) + "\n"
 
 
 def main(argv=None) -> int:
+    """Run one gpoly command and return its exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _merge_params_file(argv)
-    except OSError as exc:
-        return _usage_error(f"cannot read params file: {exc}")
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, experiments.ResourceCapError) as exc:
-        return _usage_error(str(exc))
+        args = _build_parser().parse_args(_merge_params_file(argv))
+        started_at = _now()
+        out = args.func(args)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out.text)
+            runs = os.path.join(os.path.dirname(os.path.abspath(args.out)),
+                                "runs.jsonl")
+            with open(runs, "a") as fh:
+                fh.write(_run_record(args, argv, started_at, out))
+            sys.stderr.write(f"wrote {args.out}\n")
+        else:
+            sys.stdout.write(out.text)
+        (sys.stdout if out.note_to_stdout else sys.stderr).write(out.note)
+        return out.code
+    except ValueError as exc:
+        sys.stderr.write(f"gpoly: error: {exc}\n")
+        return 2
     except OSError as exc:
         sys.stderr.write(f"gpoly: I/O error: {exc}\n")
         return 1

@@ -199,12 +199,10 @@ def _check_subset_cap(n: int, d: int, cap: int) -> None:
 def kfacet_expectation_mc(n: int, d: int, k: int, trials: int,
                           master_seed: int,
                           subset_cap: int = SUBSET_CAP) -> MCEstimate:
-    """Empirical E e_k by full per-trial enumeration."""
+    """Empirical E e_k: column k of the profile estimate."""
     theory._check_kfacet_inputs(n, d, k)
-    _check_subset_cap(n, d, subset_cap)
-    subsets = geometry.subset_array(n, d)
-    return mc_run(_draw_normal((n, d)), trials, master_seed,
-                  lambda x: geometry.profile_counts(x, subsets)[:, k])
+    return kfacet_profile_expectation_mc(n, d, trials, master_seed,
+                                         subset_cap)[k]
 
 
 def kfacet_profile_expectation_mc(n: int, d: int, trials: int,

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gpoly import cli, theory
+from gpoly import cli, experiments, theory
 from gpoly.geometry import kfacet_profile
 from gpoly.sampling import PointSet, gaussian_point_set, stream
 
@@ -62,6 +63,22 @@ def test_sample_writes_run_record(tmp_path):
     assert records[-1]["output_sha256"] == digest
     assert records[-1]["command"] == "sample"
     assert records[-1]["artifact_version"]
+
+
+def test_run_record_names_the_argv_it_ran(tmp_path):
+    params = tmp_path / "run.params"
+    params.write_text("d=1\nn=3\n")
+    argvs = [["kfacets", "exact", "--d", "1", "--n", "3", "--k", "0",
+              "--out", str(tmp_path / "o.json")],
+             ["kfacets", "exact", "--params", str(params), "--k", "0",
+              "--out", str(tmp_path / "p.json")]]
+    for argv in argvs:
+        assert run_cli(argv)[0] == 0
+    records = [json.loads(line)
+               for line in (tmp_path / "runs.jsonl").read_text().splitlines()]
+    # the argv main was given, before --params expansion
+    assert [r["argv"] for r in records] == argvs
+    assert records[1]["params"]["n"] == 3
 
 
 def test_sample_usage_error_exit_2():
@@ -212,6 +229,16 @@ def test_verify_exit_1_on_failure():
     assert "simplex_volume[d=1]" in err
 
 
+def test_verify_exit_1_on_a_failed_check(monkeypatch):
+    real = experiments.verify_lp_limit
+    monkeypatch.setattr(experiments, "verify_lp_limit",
+                        lambda: dataclasses.replace(real(), passed=False))
+    code, out, err = run_cli(["verify", "--suite", "lp"])
+    assert code == 1
+    assert json.loads(out)["failed_checks"] == ["lp_limit"]
+    assert err == "failed: lp_limit\n"
+
+
 def test_verify_statistics_pinned():
     # captured from the per-trial Welford loop; the batched routine draws
     # the same numbers and may differ from it only by rounding
@@ -330,6 +357,20 @@ def test_constants_kfacet_alt_exponents_is_gone():
     code, out, _ = run_cli(["constants", "kfacet", "--alpha", "2", "--r",
                             "0.5", "--alt-exponents"])
     assert code == 2 and out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("kfacets exact --d 1 --n 3 --k 0 --params", "--params needs a file path"),
+    ("estranged mc --d 9 --trials 10 --seed 1", "exceeds the estranged cap"),
+    ("kfacets mc --n 30 --d 10 --k 0", "exceeds the subset cap"),
+    ("constants kfacet --r 0.5", "kfacet constants need --alpha and --r"),
+])
+def test_usage_errors_return_2_with_one_message(argv, message, capsys):
+    assert cli.main(argv.split()) == 2  # returned, not raised
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gpoly: error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_params_file_merging(tmp_path):
