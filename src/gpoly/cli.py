@@ -9,13 +9,14 @@ parameter map, primary text and exit code, and any note for after the text.
 record (the argv ``main`` was given, the parameters, timestamps and an
 output digest) to runs.jsonl next to the output file; then it writes the
 note. It maps every usage error, a resource cap included, to
-``gpoly: error: ...`` and exit 2, and an I/O error to exit 1; argparse's
-own parse errors exit 2 as argparse does.
+``gpoly: error: ...`` and exit 2, an I/O error to exit 1, and a failed run
+(a Monte Carlo trial or a quadrature that raised) to ``gpoly: error: ...``
+and exit 3; argparse's own parse errors exit 2 as argparse does.
 
 Every command is a pure function of its flags and seed: rerunning with the
 same arguments produces byte-identical primary output (``--workers`` and
 GPOLY_WORKERS are accepted and ignored). Exit codes: 0 success, 1
-verification failure, 2 usage error.
+verification failure or I/O error, 2 usage error, 3 failed run.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from datetime import datetime, timezone
 from typing import NamedTuple
 
 from . import __version__, experiments, theory
+from .mathcore import QuadratureError
 from .sampling import gaussian_point_set, stream
 
 _VERIFY_SUITES = ("all", "blaschke", "simplex", "truncated", "logconcave",
@@ -193,10 +195,8 @@ def cmd_sample(args) -> Output:
 def cmd_kfacets(args) -> Output:
     if args.all_k == (args.k is not None):
         raise ValueError("pass exactly one of --k or --all-k")
-    m = args.n - args.d
-    if not args.all_k and not 0 <= args.k <= m:
-        raise ValueError(f"k = {args.k} outside 0..{m}")
-    ks = list(range(m + 1)) if args.all_k else [args.k]
+    theory._check_kfacet_inputs(args.n, args.d, 0 if args.all_k else args.k)
+    ks = range(args.n - args.d + 1) if args.all_k else [args.k]
     params = {"mode": args.mode, "n": args.n, "d": args.d,
               "k": None if args.all_k else args.k, "all_k": args.all_k,
               "seed": args.seed,
@@ -232,8 +232,6 @@ def cmd_constants(args) -> Output:
     if args.target == "kfacet":
         if args.alpha is None or args.r is None:
             raise ValueError("kfacet constants need --alpha and --r")
-        if args.alpha <= 1.0 or not 0.0 <= args.r <= 1.0:
-            raise ValueError("need alpha > 1 and r in [0, 1]")
         params = {"alpha": args.alpha, "r": args.r}
         c = theory.c_alpha_r(args.alpha, args.r)
         payload = {"command": "constants", "target": "kfacet",
@@ -323,8 +321,6 @@ def cmd_verify(args) -> Output:
 
 
 def cmd_growth(args) -> Output:
-    if args.alpha <= 1.0:
-        raise ValueError("need alpha > 1")
     if args.d_max < args.d_min:
         raise ValueError("need d-max >= d-min")
     params = {"alpha": args.alpha, "d_min": args.d_min, "d_max": args.d_max,
@@ -377,6 +373,11 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"gpoly: I/O error: {exc}\n")
         return 1
+    except (experiments.TrialError, QuadratureError) as exc:
+        # scipy's quadrature message runs over several lines; keep the first
+        first_line = str(exc).partition("\n")[0]
+        sys.stderr.write(f"gpoly: error: {first_line}\n")
+        return 3
 
 
 if __name__ == "__main__":

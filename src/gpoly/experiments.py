@@ -30,7 +30,9 @@ from .sampling import RngStream, _truncated_coords
 
 CHUNK = 4096  # trials reduced to one (count, mean, M2) before the merge
 SUB_BLOCK = 512  # rows stacked per kernel call
-SUBSET_CAP = 200_000
+SUBSET_CAP = 200_000  # largest C(n, d) an enumeration run counts per set
+ESTRANGED_D_CAP = 7  # largest d of estranged_expectation_mc
+PAIR_D_CAP = 10  # largest d of pair_facet_probability_mc
 Z_THRESHOLD = 3.0
 
 
@@ -94,10 +96,6 @@ class VerificationReport:
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _identity(block: np.ndarray) -> np.ndarray:
-    return block
-
-
 def _run_chunk(draw, kernel, width: int, master_seed: int, lo: int, hi: int):
     """(count, mean, M2) of trials lo..hi-1, each of shape (width,).
 
@@ -159,7 +157,7 @@ def _tree_merge(stats):
 def _run(draw, kernel, width: int, trials: int, master_seed: int):
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    stats = [_run_chunk(draw, kernel or _identity, width, master_seed,
+    stats = [_run_chunk(draw, kernel, width, master_seed,
                         lo, min(lo + CHUNK, trials))
              for lo in range(0, trials, CHUNK)]
     count, mean, m2 = _tree_merge(stats)
@@ -168,19 +166,18 @@ def _run(draw, kernel, width: int, trials: int, master_seed: int):
 
 
 def mc_run(draw: Callable[[RngStream], object], trials: int,
-           master_seed: int, kernel: Kernel | None = None) -> MCEstimate:
+           master_seed: int, kernel: Kernel) -> MCEstimate:
     """Estimate the mean of one quantity over independent streams.
 
     Trial i draws its row from stream(master_seed, i) with ``draw``; the
-    kernel maps a block of rows of shape (T, ...) to T values. Without a
-    kernel, the drawn rows are the values.
+    kernel maps a block of rows of shape (T, ...) to T values.
     """
     return _run(draw, kernel, 1, trials, master_seed)[0]
 
 
 def mc_run_vector(draw: Callable[[RngStream], object], width: int,
                   trials: int, master_seed: int,
-                  kernel: Kernel | None = None) -> list[MCEstimate]:
+                  kernel: Kernel) -> list[MCEstimate]:
     """Vector-valued twin of mc_run: the kernel maps (T, ...) to (T, width);
     returns one estimate per component."""
     return _run(draw, kernel, width, trials, master_seed)
@@ -190,29 +187,20 @@ def _draw_normal(shape):
     return lambda s: s.standard_normal(shape)
 
 
-def _check_subset_cap(n: int, d: int, cap: int) -> None:
-    if math.comb(n, d) > cap:
-        raise ResourceCapError(
-            f"C({n}, {d}) = {math.comb(n, d)} exceeds the subset cap {cap}")
-
-
 def kfacet_expectation_mc(n: int, d: int, k: int, trials: int,
-                          master_seed: int,
-                          subset_cap: int = SUBSET_CAP) -> MCEstimate:
+                          master_seed: int) -> MCEstimate:
     """Empirical E e_k: column k of the profile estimate."""
     theory._check_kfacet_inputs(n, d, k)
-    return kfacet_profile_expectation_mc(n, d, trials, master_seed,
-                                         subset_cap)[k]
+    return kfacet_profile_expectation_mc(n, d, trials, master_seed)[k]
 
 
 def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
-                                  master_seed: int,
-                                  subset_cap: int = SUBSET_CAP
-                                  ) -> list[MCEstimate]:
+                                  master_seed: int) -> list[MCEstimate]:
     """Empirical expectation of the whole profile vector (e_0, ..., e_{n-d})."""
-    if d < 1 or n < d + 1:
-        raise ValueError(f"need d >= 1 and n >= d + 1, got n={n}, d={d}")
-    _check_subset_cap(n, d, subset_cap)
+    theory._check_kfacet_inputs(n, d, 0)
+    if math.comb(n, d) > SUBSET_CAP:
+        raise ResourceCapError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
+                               f"the subset cap {SUBSET_CAP}")
     subsets = geometry.subset_array(n, d)
     return mc_run_vector(_draw_normal((n, d)), n - d + 1, trials, master_seed,
                          lambda x: geometry.profile_counts(x, subsets))
@@ -250,13 +238,14 @@ def reduced_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
     return mc_run(_draw_normal(m + 1), trials, master_seed, kernel)
 
 
-def estranged_expectation_mc(d: int, trials: int, master_seed: int,
-                             d_cap: int = 7) -> MCEstimate:
+def estranged_expectation_mc(d: int, trials: int,
+                             master_seed: int) -> MCEstimate:
     """Expected number of estranged facet pairs of 2d Gaussian points."""
     if d < 1:
         raise ValueError("need d >= 1")
-    if d > d_cap:
-        raise ResourceCapError(f"d = {d} exceeds the estranged cap {d_cap}")
+    if d > ESTRANGED_D_CAP:
+        raise ResourceCapError(
+            f"d = {d} exceeds the estranged cap {ESTRANGED_D_CAP}")
     n = 2 * d
     subsets = geometry.subset_array(n, d)
     i, j = geometry.disjoint_pairs(subsets)
@@ -268,13 +257,13 @@ def estranged_expectation_mc(d: int, trials: int, master_seed: int,
     return mc_run(_draw_normal((n, d)), trials, master_seed, pairs)
 
 
-def pair_facet_probability_mc(d: int, trials: int, master_seed: int,
-                              d_cap: int = 10) -> MCEstimate:
+def pair_facet_probability_mc(d: int, trials: int,
+                              master_seed: int) -> MCEstimate:
     """Probability that both halves of a fixed partition of 2d points are facets."""
     if d < 1:
         raise ValueError("need d >= 1")
-    if d > d_cap:
-        raise ResourceCapError(f"d = {d} exceeds the pair cap {d_cap}")
+    if d > PAIR_D_CAP:
+        raise ResourceCapError(f"d = {d} exceeds the pair cap {PAIR_D_CAP}")
     n = 2 * d
     halves = np.array([list(range(d)), list(range(d, n))], dtype=np.intp)
     return mc_run(_draw_normal((n, d)), trials, master_seed,
@@ -456,8 +445,7 @@ class GrowthRow:
 
 
 def facet_growth_table(alpha: float, d_range, trials: int, master_seed: int,
-                       k_mode: str = "min",
-                       subset_cap: int = SUBSET_CAP) -> list[GrowthRow]:
+                       k_mode: str = "min") -> list[GrowthRow]:
     """Trend table of (E e_k)^(1/d) against the theoretical growth base.
 
     k_mode 'min' uses k = 0 (facets, base at r = 0); 'middle' uses the
@@ -474,8 +462,7 @@ def facet_growth_table(alpha: float, d_range, trials: int, master_seed: int,
         if n < d + 1:
             raise ValueError(f"alpha {alpha} gives n <= d at d = {d}")
         k = 0 if k_mode == "min" else (n - d) // 2
-        est = kfacet_expectation_mc(n, d, k, trials, master_seed,
-                                    subset_cap=subset_cap)
+        est = kfacet_expectation_mc(n, d, k, trials, master_seed)
         rows.append(GrowthRow(d=d, n=n, mean=est.mean,
                               std_error=est.std_error,
                               root=est.mean ** (1.0 / d), base=base))

@@ -29,6 +29,8 @@ import numpy as np
 from .mathcore import DEGENERACY_RTOL, coordinate_scale, degenerate
 
 _BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
+GP_EXHAUSTIVE_MAX_N = 16  # general_position_check samples above this n
+GP_SAMPLES = 10_000  # subsets a sampled general_position_check audits
 
 
 class DegenerateSubsetError(ValueError):
@@ -295,25 +297,25 @@ def estranged_pair_count(fs: FacetSet) -> int:
     return len(disjoint_pairs(fs.facets)[0])
 
 
-def general_position_check(ps, exhaustive_max_n: int = 16,
-                           samples: int = 10000,
-                           max_reported: int = 16) -> GeneralPositionReport:
+def general_position_check(ps, max_reported: int = 16
+                           ) -> GeneralPositionReport:
     """Affine-independence audit of all (or sampled) (d+1)-point subsets.
 
-    Exhaustive for n <= exhaustive_max_n, otherwise a fixed-seed random
-    sample of subsets. A subset fails by the dependence rule of the SVD
-    reference path, ``mathcore.degenerate``: sigma_min(edges) <=
-    DEGENERACY_RTOL * max(sigma_max, max |coordinate|).
+    Exhaustive for n <= GP_EXHAUSTIVE_MAX_N, otherwise a fixed-seed random
+    sample of GP_SAMPLES subsets; the report lists the first max_reported
+    violations. A subset fails by the dependence rule of the SVD reference
+    path, ``mathcore.degenerate``: sigma_min(edges) <= DEGENERACY_RTOL *
+    max(sigma_max, max |coordinate|).
     """
     coords = ps.coords
     n, d = ps.n, ps.d
     size = min(d + 1, n)
-    if n <= exhaustive_max_n:
+    if n <= GP_EXHAUSTIVE_MAX_N:
         subs = subset_array(n, size)
         exhaustive = True
     else:
         rng = np.random.default_rng(20240 + size)  # fixed seed: report is deterministic
-        rows = np.broadcast_to(np.arange(n, dtype=np.intp), (samples, n))
+        rows = np.broadcast_to(np.arange(n, dtype=np.intp), (GP_SAMPLES, n))
         subs = np.sort(rng.permuted(rows, axis=1)[:, :size], axis=1)
         exhaustive = False
     pts = coords[subs]

@@ -1,6 +1,6 @@
-"""Numeric substrate: the degeneracy rule, simplex volumes, Gaussian special
-functions, adaptive 1-D quadrature, and derivative-free maximization over
-boxes.
+"""Numeric substrate: the degeneracy rule, full-dimensional simplex volumes,
+Gaussian special functions, adaptive 1-D quadrature, and derivative-free
+maximization over boxes.
 
 Everything here is a pure function of its inputs. One rule, with one
 tolerance, decides every degeneracy in the package (``degenerate``):
@@ -21,6 +21,7 @@ import numpy as np
 from scipy import integrate, optimize, special
 
 DEGENERACY_RTOL = 1e-9
+REFINE_STARTS = 8  # grid cells maximize_box refines from
 
 
 class QuadratureError(RuntimeError):
@@ -50,47 +51,42 @@ def degenerate(sv: np.ndarray, scale) -> np.ndarray:
 
 
 def simplex_volume(points):
-    """(m-1)-dimensional volume of the simplex spanned by m points.
+    """d-dimensional volume |det E| / d! of the simplex on d+1 points in R^d.
 
-    Accepts m points in R^n (one point per row) with 2 <= m <= n+1, or a
-    block of T such simplices of shape (T, m, n), for which it returns an
-    array of T volumes. When the edge matrix is square this is
-    |det| / (m-1)!; otherwise the Gram determinant of the edges supplies the
-    embedded volume.
+    Accepts d+1 points in R^d (one point per row, d >= 1), or a block of T
+    such simplices of shape (T, d+1, d), for which it returns an array of T
+    volumes; any other shape raises ValueError. E is the (d, d) edge matrix
+    x_i - x_0.
 
     One ``np.linalg.det`` serves the whole block. A simplex is degenerate,
-    with volume 0, by the rule of ``degenerate`` on its edge matrix E, at
-    the scale of its coordinates. Since sigma_max <= ||E||_F, such an E has
-    |det E| <= DEGENERACY_RTOL F^k and det(E E^T) <= DEGENERACY_RTOL^2
-    F^(2k), F = max(||E||_F, scale). Rows under DEGENERACY_RTOL F^k, or
-    DEGENERACY_RTOL F^(2k) for the Gram determinant (room for its rounding),
-    take the SVD that applies the rule; the others keep their determinant.
+    with volume 0, by the rule of ``degenerate`` on E, at the scale of its
+    coordinates. Since sigma_max <= ||E||_F, such an E has
+    |det E| <= DEGENERACY_RTOL F^d, F = max(||E||_F, scale). Rows under that
+    screen take the SVD that applies the rule; the others keep their
+    determinant.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (2, 3):
         raise ValueError("points must be a 2-D array, one point per row, "
                          "or a 3-D block of such arrays")
-    m, n = pts.shape[-2:]
-    if not 2 <= m <= n + 1:
-        raise ValueError(f"{m} points cannot span a simplex in R^{n}")
-    block = pts.reshape((-1, m, n))
+    m, d = pts.shape[-2:]
+    if d < 1 or m != d + 1:
+        raise ValueError(f"{m} points do not span a full-dimensional simplex "
+                         f"in R^{d}")
+    block = pts.reshape((-1, m, d))
     edges = block[:, 1:] - block[:, :1]
-    square = m == n + 1
-    mats = edges if square else edges @ np.swapaxes(edges, 1, 2)
-    if not np.all(np.isfinite(mats)):
+    if not np.all(np.isfinite(edges)):
         raise ValueError("matrix entries must be finite")
-    k = m - 1
-    dets = np.linalg.det(mats)
+    dets = np.linalg.det(edges)
     scale = coordinate_scale(block)
     with np.errstate(over="ignore"):
-        # overflows to inf for large k, which sends every row to the rule
+        # overflows to inf for large d, which sends every row to the rule
         screen = DEGENERACY_RTOL * np.maximum(np.linalg.norm(
-            edges, axis=(1, 2)), scale) ** (k if square else 2 * k)
+            edges, axis=(1, 2)), scale) ** d
     rows = np.flatnonzero(np.abs(dets) <= screen)
     sv = np.linalg.svd(edges[rows], compute_uv=False)
     dets[rows[degenerate(sv, scale[rows])]] = 0.0
-    vols = (np.abs(dets) if square else np.sqrt(np.maximum(dets, 0.0))) \
-        / math.factorial(k)
+    vols = np.abs(dets) / math.factorial(d)
     return float(vols[0]) if pts.ndim == 2 else vols
 
 
@@ -211,13 +207,12 @@ def maximize_1d(f: Callable[[float], float], a: float, b: float,
 
 def maximize_box(f: Callable[[np.ndarray], float],
                  box: Sequence[tuple[float, float]],
-                 grid_nodes: int = 65,
-                 refine_starts: int = 8) -> MaximizeResult:
+                 grid_nodes: int = 65) -> MaximizeResult:
     """Maximize f over a 1- to 3-dimensional box.
 
     f maps an (N, dim) array of points to N values. Full grid scan
     (grid_nodes per axis, one call of f) followed by Nelder-Mead refinement
-    started from the best refine_starts grid cells. Iterates are clamped to
+    started from the best REFINE_STARTS grid cells. Iterates are clamped to
     the box, so the reported argmax always lies inside it.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
@@ -234,7 +229,7 @@ def maximize_box(f: Callable[[np.ndarray], float],
     pts = np.stack([m.ravel() for m in mesh], axis=1)
     vals = np.asarray(f(pts), dtype=float)
 
-    order = np.argsort(vals)[::-1][:refine_starts]
+    order = np.argsort(vals)[::-1][:REFINE_STARTS]
     best_i = int(order[0])
     best_x, best_f = pts[best_i].copy(), float(vals[best_i])
 

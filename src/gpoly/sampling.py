@@ -87,10 +87,10 @@ class PointSet:
         object.__setattr__(self, "coords", coords)
 
     @classmethod
-    def from_coords(cls, coords, provenance="external") -> "PointSet":
+    def from_coords(cls, coords) -> "PointSet":
+        """A point set of external coordinates, one point per row."""
         coords = np.asarray(coords, dtype=float)
-        return cls(n=coords.shape[0], d=coords.shape[1], coords=coords,
-                   provenance=provenance)
+        return cls(n=coords.shape[0], d=coords.shape[1], coords=coords)
 
     def write_csv(self, fh) -> None:
         """Write `x1,...,xd` CSV at 17 significant digits (exact round-trip)."""

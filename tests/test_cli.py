@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from gpoly import cli, experiments, theory
+from gpoly.mathcore import QuadratureError
 from gpoly.geometry import kfacet_profile
 from gpoly.sampling import PointSet, gaussian_point_set, stream
 
@@ -364,6 +365,12 @@ def test_constants_kfacet_alt_exponents_is_gone():
     ("estranged mc --d 9 --trials 10 --seed 1", "exceeds the estranged cap"),
     ("kfacets mc --n 30 --d 10 --k 0", "exceeds the subset cap"),
     ("constants kfacet --r 0.5", "kfacet constants need --alpha and --r"),
+    ("kfacets exact --d 3 --n 2 --all-k", "need d >= 1 and n >= d + 1"),
+    ("kfacets reduced --d 3 --n 2 --all-k --trials 100",
+     "need d >= 1 and n >= d + 1"),
+    ("kfacets exact --d 2 --n 5 --k 4", "need 0 <= k <= n - d"),
+    ("constants kfacet --alpha 0.5 --r 0.5", "need alpha > 1, got 0.5"),
+    ("growth --alpha 0.5", "need alpha > 1, got 0.5"),
 ])
 def test_usage_errors_return_2_with_one_message(argv, message, capsys):
     assert cli.main(argv.split()) == 2  # returned, not raised
@@ -371,6 +378,31 @@ def test_usage_errors_return_2_with_one_message(argv, message, capsys):
     assert out == ""
     assert err.startswith("gpoly: error: ") and err.count("\n") == 1
     assert message in err
+
+
+def _trial_error(*args):
+    raise experiments.TrialError(62, ValueError("point 9 on the band"))
+
+
+def _quadrature_error(*args):
+    raise QuadratureError("subdivision cap reached.\n  Try splitting.",
+                          value=0.0, abs_error_estimate=1.0, evaluations=21)
+
+
+@pytest.mark.parametrize("module, name, fail, argv, message", [
+    (experiments, "estranged_expectation_mc", _trial_error,
+     "estranged mc --d 7 --trials 200 --seed 3",
+     "trial 62 failed: point 9 on the band"),
+    (theory, "kfacet_probability_exact", _quadrature_error,
+     "kfacets exact --d 2 --n 5 --k 1", "subdivision cap reached."),
+])
+def test_failed_run_returns_3_with_one_message(monkeypatch, capsys, module,
+                                               name, fail, argv, message):
+    monkeypatch.setattr(module, name, fail)
+    assert cli.main(argv.split()) == 3  # returned, not raised
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"gpoly: error: {message}\n"
 
 
 def test_params_file_merging(tmp_path):

@@ -26,16 +26,29 @@ def test_demo_imports_resolve(demo):
     assert not missing
 
 
-def test_demo_01_sample_and_enumerate():
+def _run_demo(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / "01_sample_and_enumerate.py")],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, str(ROOT / "demos" / name)],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+
+
+def test_demo_01_sample_and_enumerate():
+    proc = _run_demo("01_sample_and_enumerate.py")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert any(line.startswith("general position: ok") for line in lines)
     assert any(line.startswith("convex hull has ") and "facets" in line
                for line in lines)
     assert any("estranged pairs" in line for line in lines)
+
+
+def test_demo_04_verification_suite():
+    # runs every verify_* call of the demo, so a changed signature fails here
+    proc = _run_demo("04_verification_suite.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[-1].endswith("/18 checks passed")
+    assert sum(" z=" in line for line in lines) == 18

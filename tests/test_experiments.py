@@ -12,7 +12,8 @@ from gpoly.sampling import RngStream, stream
 # -------------------------------------------------------------------- mc_run
 
 def test_mc_run_constant():
-    est = ex.mc_run(lambda s: 1.0, trials=1000, master_seed=0)
+    est = ex.mc_run(lambda s: 1.0, trials=1000, master_seed=0,
+                    kernel=lambda b: b)
     assert est.mean == 1.0
     assert est.variance == 0.0
     assert est.std_error == 0.0
@@ -21,7 +22,7 @@ def test_mc_run_constant():
 
 def test_mc_run_standard_normal_mean():
     est = ex.mc_run(lambda s: float(s.standard_normal()),
-                    trials=1_000_000, master_seed=1)
+                    trials=1_000_000, master_seed=1, kernel=lambda b: b)
     assert abs(est.mean) <= 3e-3
     assert abs(est.variance - 1.0) <= 0.01
     assert abs(est.std_error - math.sqrt(est.variance / est.trials)) <= 1e-15
@@ -32,11 +33,12 @@ def test_mc_run_matches_per_trial_reference():
     def draw(s):
         return float(s.standard_normal() ** 2 + s.uniform())
 
-    est = ex.mc_run(draw, trials=20_000, master_seed=9)
+    est = ex.mc_run(draw, trials=20_000, master_seed=9, kernel=lambda b: b)
     xs = np.array([draw(stream(9, i)) for i in range(20_000)])
     assert abs(est.mean - xs.mean()) <= 1e-12 * abs(xs.mean())
     assert abs(est.variance - xs.var(ddof=1)) <= 1e-12 * xs.var(ddof=1)
-    again = ex.mc_run(draw, trials=20_000, master_seed=9)
+    again = ex.mc_run(draw, trials=20_000, master_seed=9,
+                      kernel=lambda b: b)
     assert (again.mean, again.variance) == (est.mean, est.variance)
 
 
@@ -50,7 +52,7 @@ def test_mc_run_kernel_maps_blocks():
     est = ex.mc_run(lambda s: s.standard_normal(3), trials=5000,
                     master_seed=4, kernel=kernel)
     ref = ex.mc_run(lambda s: float(s.standard_normal(3).sum()),
-                    trials=5000, master_seed=4)
+                    trials=5000, master_seed=4, kernel=lambda b: b)
     assert abs(est.mean - ref.mean) <= 1e-12
     assert abs(est.variance - ref.variance) <= 1e-12
     assert max(t for t, _ in seen) == ex.SUB_BLOCK
@@ -68,9 +70,10 @@ def test_mc_run_vector_matches_scalar_runs():
         z = s.standard_normal()
         return np.array([z, z * z])
 
-    vec = ex.mc_run_vector(vec_trial, 2, trials=5000, master_seed=3)
+    vec = ex.mc_run_vector(vec_trial, 2, trials=5000, master_seed=3,
+                           kernel=lambda b: b)
     sca = ex.mc_run(lambda s: float(s.standard_normal()),
-                    trials=5000, master_seed=3)
+                    trials=5000, master_seed=3, kernel=lambda b: b)
     assert vec[0].mean == sca.mean
     assert vec[0].variance == sca.variance
 
@@ -82,13 +85,13 @@ def test_mc_run_propagates_trial_index():
         return 0.0
 
     with pytest.raises(ex.TrialError) as err:
-        ex.mc_run(flaky, trials=1000, master_seed=0)
+        ex.mc_run(flaky, trials=1000, master_seed=0, kernel=lambda b: b)
     assert err.value.trial_index == 137
 
 
 def test_mc_run_needs_two_trials():
     with pytest.raises(ValueError):
-        ex.mc_run(lambda s: 0.0, trials=1, master_seed=0)
+        ex.mc_run(lambda s: 0.0, trials=1, master_seed=0, kernel=lambda b: b)
 
 
 def test_kernel_row_error_names_the_trial():
@@ -107,7 +110,7 @@ def test_welford_merge_matches_numpy():
     rng = np.random.default_rng(8)
     xs = rng.standard_normal(10_000) * 3.0 + 2.0
     est = ex.mc_run(lambda s: float(xs[s.stream_id]),
-                    trials=len(xs), master_seed=0)
+                    trials=len(xs), master_seed=0, kernel=lambda b: b)
     assert abs(est.mean - xs.mean()) <= 1e-12
     assert abs(est.variance - xs.var(ddof=1)) <= 1e-10
 
