@@ -206,24 +206,23 @@ def cmd_kfacets(args) -> Output:
         ests = experiments.kfacet_profile_expectation_mc(
             args.n, args.d, args.trials, args.seed)
         results = [{"k": k, "expectation": ests[k].as_dict()} for k in ks]
+    elif args.mode == "reduced":
+        ests = experiments.reduced_kfacet_profile_probability_mc(
+            args.n, args.d, args.trials, args.seed)
+        scale = math.comb(args.n, args.d)
+        results = [{"k": k, "probability": ests[k].as_dict(),
+                    "implied_expectation": {
+                        "mean": ests[k].mean * scale,
+                        "std_error": ests[k].std_error * scale}}
+                   for k in ks]
     else:
         for k in ks:
-            if args.mode == "exact":
-                p = theory.kfacet_probability_exact(args.n, args.d, k)
-                log_e = theory.kfacet_log_expectation_from_probability(
-                    args.n, args.d, p)
-                results.append({"k": k, "probability": p,
-                                "expectation": math.exp(log_e),
-                                "log_expectation": log_e})
-            else:
-                est = experiments.reduced_kfacet_probability_mc(
-                    args.n, args.d, k, args.trials, args.seed)
-                scale = math.comb(args.n, args.d)
-                results.append({
-                    "k": k, "probability": est.as_dict(),
-                    "implied_expectation": {"mean": est.mean * scale,
-                                            "std_error": est.std_error * scale},
-                })
+            p = theory.kfacet_probability_exact(args.n, args.d, k)
+            log_e = theory.kfacet_log_expectation_from_probability(
+                args.n, args.d, p)
+            results.append({"k": k, "probability": p,
+                            "expectation": math.exp(log_e),
+                            "log_expectation": log_e})
     return Output(params, _dump_json({"command": "kfacets", "params": params,
                                       "results": results}))
 

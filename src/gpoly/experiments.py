@@ -3,12 +3,13 @@
 One chunk routine runs every experiment in three steps, and every
 experiment is a draw plus a block kernel. Draws are per trial: trial i
 draws its row from the stream keyed by (master_seed, i), so any trial can
-be reproduced in isolation. Kernels are per block: the rows of SUB_BLOCK
-consecutive trials are stacked and mapped by one vectorised call to one
-value (or one vector of values) per trial. The enumeration kernels pass the
-whole block of Gaussian point sets to the geometry, and a degenerate point
-set fails as its trial. Statistics are per chunk:
-each CHUNK of trials is reduced to (count, mean, M2) with numpy, and the
+be reproduced in isolation. A draw either returns its row or, given the
+row shape, fills its row of the block in place. Kernels are per block: the
+rows of SUB_BLOCK consecutive trials are stacked and mapped by one
+vectorised call to one value (or one vector of values) per trial. The
+enumeration kernels pass the whole block of Gaussian point sets to the
+geometry, and a degenerate point set fails as its trial. Statistics are
+per chunk: each CHUNK of trials is reduced to (count, mean, M2) with numpy, and the
 chunk statistics are merged by a pairwise tree in trial-index order
 (Chan, Golub and LeVeque). Runs are single-threaded, and their results
 depend only on the seed and the trial count. The verify_* operations each
@@ -96,27 +97,33 @@ class VerificationReport:
 Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _run_chunk(draw, kernel, width: int, master_seed: int, lo: int, hi: int):
+def _run_chunk(draw, kernel, width: int, row_shape, master_seed: int,
+               lo: int, hi: int):
     """(count, mean, M2) of trials lo..hi-1, each of shape (width,).
 
     Trial i draws its row from stream(master_seed, i); every SUB_BLOCK rows
-    are stacked and mapped by one kernel call. A geometry error names the
-    row of its point set in the block, which makes it a TrialError of that
-    trial.
+    are stacked and mapped by one kernel call. With a row shape, the rows
+    are drawn straight into a preallocated block. A geometry error names
+    the row of its point set in the block, which makes it a TrialError of
+    that trial.
     """
     s = RngStream(master_seed, lo)
     values = np.empty((hi - lo, width))
     for a in range(lo, hi, SUB_BLOCK):
         b = min(a + SUB_BLOCK, hi)
-        rows = []
-        for i in range(a, b):
-            s.reset(master_seed, i)
-            try:
-                rows.append(draw(s))
-            except Exception as exc:
-                raise TrialError(i, exc) from exc
+        rows = [] if row_shape is None else np.empty((b - a, *row_shape))
         try:
-            out = np.asarray(kernel(np.array(rows, dtype=float)), dtype=float)
+            if row_shape is None:
+                for i in range(a, b):
+                    rows.append(draw(s.reset(master_seed, i)))
+            else:
+                for i, row in zip(range(a, b), rows):
+                    draw(s.reset(master_seed, i), row)
+        except Exception as exc:
+            raise TrialError(i, exc) from exc
+        try:
+            out = np.asarray(kernel(np.asarray(rows, dtype=float)),
+                             dtype=float)
         except (geometry.DegeneracyError,
                 geometry.DegenerateSubsetError) as err:
             raise TrialError(a + err.row, err) from err
@@ -154,10 +161,11 @@ def _tree_merge(stats):
     return stats[0]
 
 
-def _run(draw, kernel, width: int, trials: int, master_seed: int):
+def _run(draw, kernel, width: int, row_shape, trials: int,
+         master_seed: int):
     if trials < 2:
         raise ValueError("need at least 2 trials")
-    stats = [_run_chunk(draw, kernel, width, master_seed,
+    stats = [_run_chunk(draw, kernel, width, row_shape, master_seed,
                         lo, min(lo + CHUNK, trials))
              for lo in range(0, trials, CHUNK)]
     count, mean, m2 = _tree_merge(stats)
@@ -165,26 +173,30 @@ def _run(draw, kernel, width: int, trials: int, master_seed: int):
             for j in range(width)]
 
 
-def mc_run(draw: Callable[[RngStream], object], trials: int,
-           master_seed: int, kernel: Kernel) -> MCEstimate:
+def mc_run(draw: Callable[..., object], trials: int, master_seed: int,
+           kernel: Kernel, *, row_shape: tuple[int, ...] | None = None
+           ) -> MCEstimate:
     """Estimate the mean of one quantity over independent streams.
 
-    Trial i draws its row from stream(master_seed, i) with ``draw``; the
+    Trial i draws its row from stream(master_seed, i) with ``draw``: as
+    ``draw(s)``, which returns the row, or, given ``row_shape``, as
+    ``draw(s, row)``, which fills the row of that shape in place. The
     kernel maps a block of rows of shape (T, ...) to T values.
     """
-    return _run(draw, kernel, 1, trials, master_seed)[0]
+    return _run(draw, kernel, 1, row_shape, trials, master_seed)[0]
 
 
-def mc_run_vector(draw: Callable[[RngStream], object], width: int,
-                  trials: int, master_seed: int,
-                  kernel: Kernel) -> list[MCEstimate]:
+def mc_run_vector(draw: Callable[..., object], width: int, trials: int,
+                  master_seed: int, kernel: Kernel, *,
+                  row_shape: tuple[int, ...] | None = None
+                  ) -> list[MCEstimate]:
     """Vector-valued twin of mc_run: the kernel maps (T, ...) to (T, width);
     returns one estimate per component."""
-    return _run(draw, kernel, width, trials, master_seed)
+    return _run(draw, kernel, width, row_shape, trials, master_seed)
 
 
-def _draw_normal(shape):
-    return lambda s: s.standard_normal(shape)
+def _fill_normal(s: RngStream, row: np.ndarray) -> None:
+    s.standard_normal(out=row)
 
 
 def kfacet_expectation_mc(n: int, d: int, k: int, trials: int,
@@ -202,8 +214,9 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
         raise ResourceCapError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
                                f"the subset cap {SUBSET_CAP}")
     subsets = geometry.subset_array(n, d)
-    return mc_run_vector(_draw_normal((n, d)), n - d + 1, trials, master_seed,
-                         lambda x: geometry.profile_counts(x, subsets))
+    return mc_run_vector(_fill_normal, n - d + 1, trials, master_seed,
+                         lambda x: geometry.profile_counts(x, subsets),
+                         row_shape=(n, d))
 
 
 def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
@@ -216,26 +229,39 @@ def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
     """
     theory._check_kfacet_inputs(n, d, k)
     first = geometry.subset_array(d, d)
-    return mc_run(_draw_normal((n, d)), trials, master_seed,
-                  lambda x: geometry.profile_counts(x, first)[:, k])
+    return mc_run(_fill_normal, trials, master_seed,
+                  lambda x: geometry.profile_counts(x, first)[:, k],
+                  row_shape=(n, d))
 
 
 def reduced_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
                                   master_seed: int) -> MCEstimate:
-    """Scalar surrogate for the fixed-subset probability.
-
-    Draw Y ~ N(0, 1/d) and Y_1..Y_{n-d} ~ N(0, 1); succeed when the number
-    of Y_i above Y is k or (n-d) - k.
-    """
+    """Scalar surrogate for the fixed-subset probability: column k of the
+    reduced profile estimate."""
     theory._check_kfacet_inputs(n, d, k)
+    return reduced_kfacet_profile_probability_mc(n, d, trials,
+                                                 master_seed)[k]
+
+
+def reduced_kfacet_profile_probability_mc(n: int, d: int, trials: int,
+                                          master_seed: int
+                                          ) -> list[MCEstimate]:
+    """Scalar surrogate for every k at once, k = 0, ..., n-d.
+
+    Draw Y ~ N(0, 1/d) and Y_1..Y_{n-d} ~ N(0, 1); trial k succeeds when
+    the number of Y_i above Y is k or (n-d) - k.
+    """
+    theory._check_kfacet_inputs(n, d, 0)
     m = n - d
     inv_sqrt_d = 1.0 / math.sqrt(d)
+    ks = np.arange(m + 1)
 
     def kernel(z: np.ndarray) -> np.ndarray:
-        above = (z[:, 1:] > z[:, :1] * inv_sqrt_d).sum(axis=1)
-        return (above == k) | (above == m - k)
+        above = (z[:, 1:] > z[:, :1] * inv_sqrt_d).sum(axis=1)[:, None]
+        return (above == ks) | (above == m - ks)
 
-    return mc_run(_draw_normal(m + 1), trials, master_seed, kernel)
+    return mc_run_vector(_fill_normal, m + 1, trials, master_seed, kernel,
+                         row_shape=(m + 1,))
 
 
 def estranged_expectation_mc(d: int, trials: int,
@@ -254,7 +280,8 @@ def estranged_expectation_mc(d: int, trials: int,
         mask = geometry.facet_mask(coords, subsets)
         return (mask[:, i] & mask[:, j]).sum(axis=1)
 
-    return mc_run(_draw_normal((n, d)), trials, master_seed, pairs)
+    return mc_run(_fill_normal, trials, master_seed, pairs,
+                  row_shape=(n, d))
 
 
 def pair_facet_probability_mc(d: int, trials: int,
@@ -266,8 +293,9 @@ def pair_facet_probability_mc(d: int, trials: int,
         raise ResourceCapError(f"d = {d} exceeds the pair cap {PAIR_D_CAP}")
     n = 2 * d
     halves = np.array([list(range(d)), list(range(d, n))], dtype=np.intp)
-    return mc_run(_draw_normal((n, d)), trials, master_seed,
-                  lambda x: geometry.facet_mask(x, halves).all(axis=1))
+    return mc_run(_fill_normal, trials, master_seed,
+                  lambda x: geometry.facet_mask(x, halves).all(axis=1),
+                  row_shape=(n, d))
 
 
 def _z_report(name: str, theory_value: float, est: MCEstimate,
@@ -289,10 +317,10 @@ def verify_blaschke(d: int, trials: int, master_seed: int,
     """
     if distribution == "gaussian":
         det_cov = 1.0
-        draw = _draw_normal((d + 1, d))
+        draw = _fill_normal
     elif distribution == "uniform-cube":
         det_cov = 12.0 ** (-d)
-        draw = lambda s: s.uniform((d + 1, d))
+        draw = lambda s, row: s.uniform(out=row)
     else:
         raise ValueError(f"unknown distribution {distribution!r}")
     target = (d + 1) / math.factorial(d) * det_cov
@@ -300,7 +328,7 @@ def verify_blaschke(d: int, trials: int, master_seed: int,
     def kernel(points: np.ndarray) -> np.ndarray:
         return simplex_volume(points) ** 2
 
-    est = mc_run(draw, trials, master_seed, kernel)
+    est = mc_run(draw, trials, master_seed, kernel, row_shape=(d + 1, d))
     return _z_report(f"blaschke[{distribution},d={d}]", target, est,
                      {"det_cov": det_cov, "d": d,
                       "distribution": distribution})
@@ -310,8 +338,8 @@ def verify_simplex_volume(d: int, trials: int,
                           master_seed: int) -> VerificationReport:
     """Mean volume of a Gaussian simplex against its closed form."""
     target = theory.gaussian_simplex_expected_volume(d).value
-    est = mc_run(_draw_normal((d + 1, d)), trials, master_seed,
-                 simplex_volume)
+    est = mc_run(_fill_normal, trials, master_seed, simplex_volume,
+                 row_shape=(d + 1, d))
     return _z_report(f"simplex_volume[d={d}]", target, est, {"d": d})
 
 
@@ -388,8 +416,9 @@ def verify_dot_density(d: int, trials: int,
     m4 = integrate_1d(lambda w: w ** 4 * theory.dot_density(w, d),
                       -1.0, 1.0, rel_tol=1e-11).value
 
-    def draw(s: RngStream) -> tuple[np.ndarray, np.ndarray]:
-        return s.standard_normal(d), s.standard_normal(d)
+    def draw(s: RngStream, row: np.ndarray) -> None:
+        s.standard_normal(out=row[0])
+        s.standard_normal(out=row[1])
 
     def kernel(v: np.ndarray) -> np.ndarray:
         v1, v2 = v[:, 0], v[:, 1]
@@ -397,7 +426,8 @@ def verify_dot_density(d: int, trials: int,
         w = np.einsum("ij,ij->i", v1, v2) / norms
         return np.stack((w * w, w ** 4), axis=1)
 
-    est2, est4 = mc_run_vector(draw, 2, trials, master_seed, kernel)
+    est2, est4 = mc_run_vector(draw, 2, trials, master_seed, kernel,
+                               row_shape=(2, d))
     z2 = (est2.mean - m2) / est2.std_error
     z4 = (est4.mean - m4) / est4.std_error
     worst = z2 if abs(z2) >= abs(z4) else z4

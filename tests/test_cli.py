@@ -116,6 +116,22 @@ def test_kfacets_reduced_ci_overlaps_exact():
     assert lo <= exact <= hi
 
 
+def test_kfacets_reduced_all_k_draws_each_row_once(monkeypatch):
+    rows = []
+    plain = experiments.RngStream.standard_normal
+
+    def draw(self, size=None, out=None):
+        rows.append(self.stream_id)
+        return plain(self, size, out)
+
+    monkeypatch.setattr(experiments.RngStream, "standard_normal", draw)
+    code, out, _ = run_cli(["kfacets", "reduced", "--d", "2", "--n", "6",
+                            "--all-k", "--trials", "1000", "--seed", "4"])
+    assert code == 0
+    assert len(json.loads(out)["results"]) == 5
+    assert rows == list(range(1000))
+
+
 def test_kfacets_requires_k_choice():
     code, _, _ = run_cli(["kfacets", "exact", "--d", "1", "--n", "3"])
     assert code == 2

@@ -89,6 +89,35 @@ def test_mc_run_propagates_trial_index():
     assert err.value.trial_index == 137
 
 
+def test_mc_run_filled_rows_match_returned_rows():
+    # three chunks, the last one partial
+    def fill(s, row):
+        s.standard_normal(out=row[0])
+        s.uniform(out=row[1])
+
+    def draw(s):
+        return np.stack((s.standard_normal(3), s.uniform(3)))
+
+    def kernel(block):
+        return block.sum(axis=(1, 2))
+
+    filled = ex.mc_run(fill, 2 * ex.CHUNK + 300, 6, kernel, row_shape=(2, 3))
+    returned = ex.mc_run(draw, 2 * ex.CHUNK + 300, 6, kernel)
+    assert filled.as_dict() == returned.as_dict()
+
+
+def test_mc_run_fill_error_names_the_trial():
+    def fill(s, row):
+        if s.stream_id == ex.CHUNK + 5:
+            raise RuntimeError("boom")
+        s.standard_normal(out=row)
+
+    with pytest.raises(ex.TrialError) as err:
+        ex.mc_run(fill, 2 * ex.CHUNK, 0, lambda b: b.sum(axis=1),
+                  row_shape=(2,))
+    assert err.value.trial_index == ex.CHUNK + 5
+
+
 def test_mc_run_needs_two_trials():
     with pytest.raises(ValueError):
         ex.mc_run(lambda s: 0.0, trials=1, master_seed=0, kernel=lambda b: b)
@@ -161,14 +190,33 @@ def test_reduced_probability():
     assert abs(est.mean - 2.0 / 3.0) <= 3 * est.std_error
 
 
+def test_reduced_profile_columns_match_per_k_runs():
+    # each column equals the scalar run of its own k with a returned row,
+    # so `kfacets reduced --all-k` prints what the per-k runs printed
+    n, d, trials, seed = 10, 2, 20_000, 5
+    m = n - d
+    profile = ex.reduced_kfacet_profile_probability_mc(n, d, trials, seed)
+    assert len(profile) == m + 1
+    for k in range(m + 1):
+        def kernel(z, k=k):
+            above = (z[:, 1:] > z[:, :1] * (1.0 / math.sqrt(d))).sum(axis=1)
+            return (above == k) | (above == m - k)
+
+        alone = ex.mc_run(lambda s: s.standard_normal(m + 1), trials, seed,
+                          kernel)
+        assert profile[k].as_dict() == alone.as_dict()
+        assert ex.reduced_kfacet_probability_mc(
+            n, d, k, trials, seed).as_dict() == alone.as_dict()
+
+
 def test_fixed_subset_on_band_row_names_the_trial(monkeypatch):
     # trial 4096 + 137 (row 137 of the second chunk's first block) puts
     # point 2 at the midpoint of points 0 and 1, on their line
     bad = ex.CHUNK + 137
     plain = RngStream.standard_normal
 
-    def draw(self, size=None):
-        out = plain(self, size)
+    def draw(self, size=None, out=None):
+        out = plain(self, size, out)
         if self.stream_id == bad:
             out[2] = 0.5 * (out[0] + out[1])
         return out
@@ -187,8 +235,8 @@ def _spoil(stream_id, point, value):
     """A standard_normal that rewrites one point of one trial's draw."""
     plain = RngStream.standard_normal
 
-    def draw(self, size=None):
-        out = plain(self, size)
+    def draw(self, size=None, out=None):
+        out = plain(self, size, out)
         if self.stream_id == stream_id:
             out[point] = value(out)
         return out

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from gpoly import sampling as sp
@@ -41,6 +43,81 @@ def test_reset_after_mixed_draws_matches_fresh_stream():
                                                        dtype=np.uint32))
         assert np.array_equal(s.standard_normal(7), fresh.standard_normal(7))
         assert np.array_equal(s.uniform(5), fresh.uniform(5))
+
+
+# keys at and above 2**53 and 2**63, where a float64 key would round
+_KEYS = st.one_of(st.integers(0, 2**64 - 1),
+                  st.sampled_from([2**53 + 1, 2**63, 2**63 + 1,
+                                   12345678901234567890, 2**64 - 1]))
+# normals, uniforms, laplace draws and 32-bit halves left behind
+_MIXES = st.tuples(*[st.integers(0, 5)] * 4)
+
+
+def _fresh_generator(seed, stream_id):
+    # a list key goes through float64 and would round keys above 2**53
+    key = np.array([seed, stream_id], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@pytest.mark.parametrize("in_place", [True, False])
+@settings(deadline=None)
+@given(resets=st.lists(st.tuples(_KEYS, _KEYS, _MIXES), min_size=1,
+                       max_size=6))
+def test_reset_draws_match_fresh_generators(in_place, resets):
+    with pytest.MonkeyPatch.context() as mp:
+        if not in_place:  # the layout check fails: the state setter loads
+            mp.setattr(sp, "_in_place_reset_works", lambda: False)
+        s = sp.stream(0, 0)
+    assert (s._load.func is not setattr) == in_place
+    for seed, sid, (normals, uniforms, laplaces, halves) in resets:
+        s.standard_normal(normals)
+        s.uniform(uniforms)
+        s.generator.laplace(size=laplaces)
+        s.generator.integers(0, 2**32, size=halves, dtype=np.uint32)
+        s.reset(seed, sid)
+        fresh = _fresh_generator(seed, sid)
+        assert (s.master_seed, s.stream_id) == (seed, sid)
+        assert np.array_equal(
+            s.generator.integers(0, 2**32, size=3, dtype=np.uint32),
+            fresh.integers(0, 2**32, size=3, dtype=np.uint32))
+        assert np.array_equal(s.standard_normal(5), fresh.standard_normal(5))
+        assert np.array_equal(s.uniform(3), fresh.random(3))
+        assert np.array_equal(s.generator.laplace(size=2),
+                              fresh.laplace(size=2))
+        assert np.array_equal(s.generator.integers(0, 2**32, dtype=np.uint32),
+                              fresh.integers(0, 2**32, dtype=np.uint32))
+
+
+def test_layout_check_accepts_this_numpy():
+    assert sp._in_place_reset_works()
+    assert sp._in_place_reset_works.__wrapped__()
+
+
+def _swap(a, b):
+    real = sp._words_of
+
+    def words_of(state):
+        words = real(state)
+        halves = words.view(np.uint32)
+        halves[[a, b]] = halves[[b, a]]
+        return words
+
+    return words_of
+
+
+@pytest.mark.parametrize("words_of", [
+    _swap(12, 16),  # a key half and a counter half trade places
+    _swap(10, 11),  # has_uint32 and uinteger trade places
+    _swap(0, 1),    # buffer_pos in the other half of its word
+])
+def test_layout_check_refuses_a_wrong_layout(monkeypatch, words_of):
+    monkeypatch.setattr(sp, "_words_of", words_of)
+    assert not sp._in_place_reset_works.__wrapped__()
+
+
+def test_layout_check_refuses_unplaced_words(monkeypatch):
+    monkeypatch.setattr(sp, "_state_words", lambda bitgen: None)
+    assert not sp._in_place_reset_works.__wrapped__()
 
 
 def test_distinct_streams_pass_two_sample_ks():
