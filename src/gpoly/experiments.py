@@ -2,10 +2,9 @@
 
 One chunk routine runs every experiment in three steps, and every
 experiment is a draw plus a block kernel. Draws are per trial: trial i
-draws its row from the stream keyed by (master_seed, i), so any trial can
-be reproduced in isolation. A draw either returns its row or, given the
-row shape, fills its row of the block in place. Kernels are per block: the
-rows of SUB_BLOCK consecutive trials are stacked and mapped by one
+fills its row of a preallocated block from the stream keyed by
+(master_seed, i), so any trial can be reproduced in isolation. Kernels are
+per block: the rows of SUB_BLOCK consecutive trials are mapped by one
 vectorised call to one value (or one vector of values) per trial. The
 enumeration kernels pass the whole block of Gaussian point sets to the
 geometry, and a degenerate point set fails as its trial. Statistics are
@@ -101,29 +100,23 @@ def _run_chunk(draw, kernel, width: int, row_shape, master_seed: int,
                lo: int, hi: int):
     """(count, mean, M2) of trials lo..hi-1, each of shape (width,).
 
-    Trial i draws its row from stream(master_seed, i); every SUB_BLOCK rows
-    are stacked and mapped by one kernel call. With a row shape, the rows
-    are drawn straight into a preallocated block. A geometry error names
-    the row of its point set in the block, which makes it a TrialError of
-    that trial.
+    Trial i fills its row of a preallocated block from stream(master_seed,
+    i); every SUB_BLOCK rows are mapped by one kernel call. A geometry error
+    names the row of its point set in the block, which makes it a
+    TrialError of that trial.
     """
-    s = RngStream(master_seed, lo)
+    reset = RngStream(master_seed, lo).reset
     values = np.empty((hi - lo, width))
     for a in range(lo, hi, SUB_BLOCK):
         b = min(a + SUB_BLOCK, hi)
-        rows = [] if row_shape is None else np.empty((b - a, *row_shape))
+        rows = np.empty((b - a, *row_shape))
         try:
-            if row_shape is None:
-                for i in range(a, b):
-                    rows.append(draw(s.reset(master_seed, i)))
-            else:
-                for i, row in zip(range(a, b), rows):
-                    draw(s.reset(master_seed, i), row)
+            for i, row in zip(range(a, b), rows):
+                draw(reset(master_seed, i), row)
         except Exception as exc:
             raise TrialError(i, exc) from exc
         try:
-            out = np.asarray(kernel(np.asarray(rows, dtype=float)),
-                             dtype=float)
+            out = np.asarray(kernel(rows), dtype=float)
         except (geometry.DegeneracyError,
                 geometry.DegenerateSubsetError) as err:
             raise TrialError(a + err.row, err) from err
@@ -173,25 +166,23 @@ def _run(draw, kernel, width: int, row_shape, trials: int,
             for j in range(width)]
 
 
-def mc_run(draw: Callable[..., object], trials: int, master_seed: int,
-           kernel: Kernel, *, row_shape: tuple[int, ...] | None = None
+def mc_run(draw: Callable[[RngStream, np.ndarray], None], trials: int,
+           master_seed: int, kernel: Kernel, *, row_shape: tuple[int, ...]
            ) -> MCEstimate:
     """Estimate the mean of one quantity over independent streams.
 
-    Trial i draws its row from stream(master_seed, i) with ``draw``: as
-    ``draw(s)``, which returns the row, or, given ``row_shape``, as
-    ``draw(s, row)``, which fills the row of that shape in place. The
-    kernel maps a block of rows of shape (T, ...) to T values.
+    Trial i fills its row, an array of shape ``row_shape``, in place with
+    ``draw(s, row)``, where s is stream(master_seed, i). The kernel maps a
+    block of rows of shape (T, *row_shape) to T values.
     """
     return _run(draw, kernel, 1, row_shape, trials, master_seed)[0]
 
 
-def mc_run_vector(draw: Callable[..., object], width: int, trials: int,
-                  master_seed: int, kernel: Kernel, *,
-                  row_shape: tuple[int, ...] | None = None
-                  ) -> list[MCEstimate]:
-    """Vector-valued twin of mc_run: the kernel maps (T, ...) to (T, width);
-    returns one estimate per component."""
+def mc_run_vector(draw: Callable[[RngStream, np.ndarray], None], width: int,
+                  trials: int, master_seed: int, kernel: Kernel, *,
+                  row_shape: tuple[int, ...]) -> list[MCEstimate]:
+    """Vector-valued twin of mc_run: the kernel maps (T, *row_shape) to
+    (T, width); returns one estimate per component."""
     return _run(draw, kernel, width, row_shape, trials, master_seed)
 
 
@@ -352,12 +343,12 @@ def verify_truncated_bound(d: int, t: float, trials: int,
     """
     if d < 2:
         raise ValueError("need d >= 2")
-    if t < 0:
-        raise ValueError("need t >= 0")
+    if not t >= 0:  # NaN too: no row would pass the rejection test
+        raise ValueError(f"need t >= 0, got {t}")
     bound = theory.truncated_simplex_lower_bound(d)
 
-    est = mc_run(lambda s: _truncated_coords(s, d, d - 1, t), trials,
-                 master_seed, simplex_volume)
+    est = mc_run(lambda s, row: _truncated_coords(s, row, t), trials,
+                 master_seed, simplex_volume, row_shape=(d, d - 1))
     z = (est.mean - bound) / est.std_error if est.std_error > 0 else math.inf
     passed = est.mean + Z_THRESHOLD * est.std_error >= bound
     return VerificationReport(name=f"truncated_bound[d={d},t={t}]",
@@ -380,19 +371,21 @@ def verify_logconcave_moment(family: str, trials: int,
     if family not in LOGCONCAVE_FAMILIES:
         raise ValueError(f"family must be one of {LOGCONCAVE_FAMILIES}")
 
-    def draw(s: RngStream) -> float:
+    def draw(s: RngStream, row: np.ndarray) -> None:
         if family == "uniform":
-            return 2.0 * float(s.uniform()) - 1.0
-        if family == "gaussian":
-            return float(s.standard_normal())
-        if family == "truncated-gaussian":
-            return -abs(float(s.standard_normal())) + _HALF_NORMAL_MEAN
-        return float(s.generator.laplace())
+            row[0] = 2.0 * float(s.uniform()) - 1.0
+        elif family == "gaussian":
+            row[0] = float(s.standard_normal())
+        elif family == "truncated-gaussian":
+            row[0] = -abs(float(s.standard_normal())) + _HALF_NORMAL_MEAN
+        else:
+            row[0] = float(s.generator.laplace())
 
     def kernel(x: np.ndarray) -> np.ndarray:
-        return np.stack((np.abs(x), x * x), axis=1)
+        return np.concatenate((np.abs(x), x * x), axis=1)
 
-    abs_est, sq_est = mc_run_vector(draw, 2, trials, master_seed, kernel)
+    abs_est, sq_est = mc_run_vector(draw, 2, trials, master_seed, kernel,
+                                    row_shape=(1,))
     low_abs = abs_est.mean - Z_THRESHOLD * abs_est.std_error
     high_sq = sq_est.mean + Z_THRESHOLD * sq_est.std_error
     ratio = abs_est.mean / math.sqrt(sq_est.mean)
@@ -416,17 +409,13 @@ def verify_dot_density(d: int, trials: int,
     m4 = integrate_1d(lambda w: w ** 4 * theory.dot_density(w, d),
                       -1.0, 1.0, rel_tol=1e-11).value
 
-    def draw(s: RngStream, row: np.ndarray) -> None:
-        s.standard_normal(out=row[0])
-        s.standard_normal(out=row[1])
-
     def kernel(v: np.ndarray) -> np.ndarray:
         v1, v2 = v[:, 0], v[:, 1]
         norms = np.linalg.norm(v1, axis=1) * np.linalg.norm(v2, axis=1)
         w = np.einsum("ij,ij->i", v1, v2) / norms
         return np.stack((w * w, w ** 4), axis=1)
 
-    est2, est4 = mc_run_vector(draw, 2, trials, master_seed, kernel,
+    est2, est4 = mc_run_vector(_fill_normal, 2, trials, master_seed, kernel,
                                row_shape=(2, d))
     z2 = (est2.mean - m2) / est2.std_error
     z4 = (est4.mean - m4) / est4.std_error
@@ -485,6 +474,8 @@ def facet_growth_table(alpha: float, d_range, trials: int, master_seed: int,
     if k_mode not in ("min", "middle"):
         raise ValueError("k_mode must be 'min' or 'middle'")
     r = 0.0 if k_mode == "min" else 0.5
+    if any(not math.isfinite(alpha * d) for d in d_range):
+        raise ValueError(f"need a finite n = alpha * d, got alpha {alpha}")
     base = theory.growth_base_kfacet(alpha, r)
     rows = []
     for d in d_range:

@@ -4,8 +4,8 @@ Streams are counter-based (Philox4x64 keyed by (master_seed, stream_id)), so
 trial i of any experiment can be reproduced in isolation and parallel
 consumers never share state. A stream rewinds to a new key in place, with
 the draws of a fresh generator of that key. Point sets carry their seed
-provenance and write themselves as CSV; ``_truncated_coords`` draws
-Gaussians conditioned on a halfspace by rejection.
+provenance and write themselves as CSV; ``_truncated_coords`` fills an
+array with Gaussians conditioned on a halfspace, by rejection.
 """
 
 from __future__ import annotations
@@ -216,18 +216,22 @@ def gaussian_point_set(s: RngStream, n: int, d: int) -> PointSet:
                     provenance=(s.master_seed, s.stream_id))
 
 
-def _truncated_coords(s: RngStream, count: int, d: int, t: float) -> np.ndarray:
-    """Rejection-sample standard Gaussians in R^d with first coordinate <= t.
+def _truncated_coords(s: RngStream, out: np.ndarray, t: float) -> np.ndarray:
+    """Fill ``out`` (points x coordinates) with standard Gaussians whose
+    first coordinate is <= t, by rejection; returns ``out``.
 
+    Each pass draws the missing rows into place and moves the accepted ones
+    up over the rejected: the draw sizes of drawing the missing rows afresh.
     With t >= 0 the acceptance probability is Phi(t) >= 1/2, so rejection
     costs at most one extra draw per point in expectation.
     """
-    out = np.empty((count, d))
     got = 0
-    while got < count:
-        batch = s.standard_normal((count - got, d))
-        acc = batch[batch[:, 0] <= t]
-        take = min(len(acc), count - got)
-        out[got:got + take] = acc[:take]
-        got += take
+    while got < len(out):
+        rest = out[got:]
+        s.standard_normal(out=rest)
+        keep = rest[:, 0] <= t
+        kept = int(np.count_nonzero(keep))
+        if kept < len(rest):
+            rest[:kept] = rest[keep]
+        got += kept
     return out

@@ -116,8 +116,10 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
     The exponents e1 = r (alpha - 1), e2 = (1 - r)(alpha - 1) are the
     scaling under which k-facet counts at k ~ r (n - d) grow like value^d.
     """
-    if alpha <= 1.0:
+    if not alpha > 1.0:  # NaN too
         raise ValueError(f"need alpha > 1, got {alpha}")
+    if alpha == math.inf:
+        raise ValueError(f"need a finite alpha, got {alpha}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"need r in [0, 1], got {r}")
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)

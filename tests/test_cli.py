@@ -387,6 +387,11 @@ def test_constants_kfacet_alt_exponents_is_gone():
     ("kfacets exact --d 2 --n 5 --k 4", "need 0 <= k <= n - d"),
     ("constants kfacet --alpha 0.5 --r 0.5", "need alpha > 1, got 0.5"),
     ("growth --alpha 0.5", "need alpha > 1, got 0.5"),
+    ("constants kfacet --alpha nan --r 0.5", "need alpha > 1, got nan"),
+    ("constants kfacet --alpha inf --r 0.5", "need a finite alpha, got inf"),
+    ("growth --alpha nan", "got alpha nan"),
+    ("growth --alpha inf", "got alpha inf"),
+    ("growth --alpha 1e308", "got alpha 1e+308"),
 ])
 def test_usage_errors_return_2_with_one_message(argv, message, capsys):
     assert cli.main(argv.split()) == 2  # returned, not raised

@@ -11,9 +11,16 @@ from gpoly.sampling import RngStream, stream
 
 # -------------------------------------------------------------------- mc_run
 
+def _zero(s, row):
+    row[:] = 0.0
+
+
 def test_mc_run_constant():
-    est = ex.mc_run(lambda s: 1.0, trials=1000, master_seed=0,
-                    kernel=lambda b: b)
+    def one(s, row):
+        row[0] = 1.0
+
+    est = ex.mc_run(one, trials=1000, master_seed=0, kernel=lambda b: b,
+                    row_shape=(1,))
     assert est.mean == 1.0
     assert est.variance == 0.0
     assert est.std_error == 0.0
@@ -21,24 +28,32 @@ def test_mc_run_constant():
 
 
 def test_mc_run_standard_normal_mean():
-    est = ex.mc_run(lambda s: float(s.standard_normal()),
-                    trials=1_000_000, master_seed=1, kernel=lambda b: b)
+    est = ex.mc_run(ex._fill_normal, trials=1_000_000, master_seed=1,
+                    kernel=lambda b: b, row_shape=(1,))
     assert abs(est.mean) <= 3e-3
     assert abs(est.variance - 1.0) <= 0.01
     assert abs(est.std_error - math.sqrt(est.variance / est.trials)) <= 1e-15
 
 
 def test_mc_run_matches_per_trial_reference():
-    # five chunks: trial i draws from stream(9, i), chunks merge by the tree
-    def draw(s):
-        return float(s.standard_normal() ** 2 + s.uniform())
+    # three chunks, the last one partial: trial i fills its (2, 3) row from
+    # stream(9, i) as fresh draws would, and the chunks merge by the tree
+    def fill(s, row):
+        s.standard_normal(out=row[0])
+        s.uniform(out=row[1])
 
-    est = ex.mc_run(draw, trials=20_000, master_seed=9, kernel=lambda b: b)
-    xs = np.array([draw(stream(9, i)) for i in range(20_000)])
+    def kernel(block):
+        return (block[:, 0] ** 2 + block[:, 1]).sum(axis=1)
+
+    def reference(s):
+        return float((s.standard_normal(3) ** 2 + s.uniform(3)).sum())
+
+    trials = 2 * ex.CHUNK + 300
+    est = ex.mc_run(fill, trials, 9, kernel, row_shape=(2, 3))
+    xs = np.array([reference(stream(9, i)) for i in range(trials)])
     assert abs(est.mean - xs.mean()) <= 1e-12 * abs(xs.mean())
     assert abs(est.variance - xs.var(ddof=1)) <= 1e-12 * xs.var(ddof=1)
-    again = ex.mc_run(draw, trials=20_000, master_seed=9,
-                      kernel=lambda b: b)
+    again = ex.mc_run(fill, trials, 9, kernel, row_shape=(2, 3))
     assert (again.mean, again.variance) == (est.mean, est.variance)
 
 
@@ -49,10 +64,13 @@ def test_mc_run_kernel_maps_blocks():
         seen.append(block.shape)
         return block.sum(axis=1)
 
-    est = ex.mc_run(lambda s: s.standard_normal(3), trials=5000,
-                    master_seed=4, kernel=kernel)
-    ref = ex.mc_run(lambda s: float(s.standard_normal(3).sum()),
-                    trials=5000, master_seed=4, kernel=lambda b: b)
+    def total(s, row):
+        row[0] = s.standard_normal(3).sum()
+
+    est = ex.mc_run(ex._fill_normal, trials=5000, master_seed=4,
+                    kernel=kernel, row_shape=(3,))
+    ref = ex.mc_run(total, trials=5000, master_seed=4, kernel=lambda b: b,
+                    row_shape=(1,))
     assert abs(est.mean - ref.mean) <= 1e-12
     assert abs(est.variance - ref.variance) <= 1e-12
     assert max(t for t, _ in seen) == ex.SUB_BLOCK
@@ -61,49 +79,36 @@ def test_mc_run_kernel_maps_blocks():
 
 def test_mc_run_kernel_shape_checked():
     with pytest.raises(ValueError):
-        ex.mc_run_vector(lambda s: s.standard_normal(2), 3, trials=10,
-                         master_seed=0, kernel=lambda block: block)
+        ex.mc_run_vector(ex._fill_normal, 3, trials=10, master_seed=0,
+                         kernel=lambda block: block, row_shape=(2,))
 
 
 def test_mc_run_vector_matches_scalar_runs():
-    def vec_trial(s):
+    def vec_trial(s, row):
         z = s.standard_normal()
-        return np.array([z, z * z])
+        row[:] = z, z * z
+
+    def scalar(s, row):
+        row[0] = s.standard_normal()
 
     vec = ex.mc_run_vector(vec_trial, 2, trials=5000, master_seed=3,
-                           kernel=lambda b: b)
-    sca = ex.mc_run(lambda s: float(s.standard_normal()),
-                    trials=5000, master_seed=3, kernel=lambda b: b)
+                           kernel=lambda b: b, row_shape=(2,))
+    sca = ex.mc_run(scalar, trials=5000, master_seed=3, kernel=lambda b: b,
+                    row_shape=(1,))
     assert vec[0].mean == sca.mean
     assert vec[0].variance == sca.variance
 
 
 def test_mc_run_propagates_trial_index():
-    def flaky(s):
+    def flaky(s, row):
         if s.stream_id == 137:
             raise RuntimeError("boom")
-        return 0.0
+        row[0] = 0.0
 
     with pytest.raises(ex.TrialError) as err:
-        ex.mc_run(flaky, trials=1000, master_seed=0, kernel=lambda b: b)
+        ex.mc_run(flaky, trials=1000, master_seed=0, kernel=lambda b: b,
+                  row_shape=(1,))
     assert err.value.trial_index == 137
-
-
-def test_mc_run_filled_rows_match_returned_rows():
-    # three chunks, the last one partial
-    def fill(s, row):
-        s.standard_normal(out=row[0])
-        s.uniform(out=row[1])
-
-    def draw(s):
-        return np.stack((s.standard_normal(3), s.uniform(3)))
-
-    def kernel(block):
-        return block.sum(axis=(1, 2))
-
-    filled = ex.mc_run(fill, 2 * ex.CHUNK + 300, 6, kernel, row_shape=(2, 3))
-    returned = ex.mc_run(draw, 2 * ex.CHUNK + 300, 6, kernel)
-    assert filled.as_dict() == returned.as_dict()
 
 
 def test_mc_run_fill_error_names_the_trial():
@@ -120,7 +125,8 @@ def test_mc_run_fill_error_names_the_trial():
 
 def test_mc_run_needs_two_trials():
     with pytest.raises(ValueError):
-        ex.mc_run(lambda s: 0.0, trials=1, master_seed=0, kernel=lambda b: b)
+        ex.mc_run(_zero, trials=1, master_seed=0, kernel=lambda b: b,
+                  row_shape=(1,))
 
 
 def test_kernel_row_error_names_the_trial():
@@ -130,7 +136,8 @@ def test_kernel_row_error_names_the_trial():
         raise cause
 
     with pytest.raises(ex.TrialError) as err:
-        ex.mc_run(lambda s: 0.0, trials=5000, master_seed=0, kernel=kernel)
+        ex.mc_run(_zero, trials=5000, master_seed=0, kernel=kernel,
+                  row_shape=(1,))
     assert err.value.trial_index == 5
     assert err.value.__cause__ is cause
 
@@ -138,8 +145,12 @@ def test_kernel_row_error_names_the_trial():
 def test_welford_merge_matches_numpy():
     rng = np.random.default_rng(8)
     xs = rng.standard_normal(10_000) * 3.0 + 2.0
-    est = ex.mc_run(lambda s: float(xs[s.stream_id]),
-                    trials=len(xs), master_seed=0, kernel=lambda b: b)
+
+    def fill(s, row):
+        row[0] = xs[s.stream_id]
+
+    est = ex.mc_run(fill, trials=len(xs), master_seed=0, kernel=lambda b: b,
+                    row_shape=(1,))
     assert abs(est.mean - xs.mean()) <= 1e-12
     assert abs(est.variance - xs.var(ddof=1)) <= 1e-10
 
@@ -191,7 +202,7 @@ def test_reduced_probability():
 
 
 def test_reduced_profile_columns_match_per_k_runs():
-    # each column equals the scalar run of its own k with a returned row,
+    # each column equals the scalar run of its own k on freshly drawn rows,
     # so `kfacets reduced --all-k` prints what the per-k runs printed
     n, d, trials, seed = 10, 2, 20_000, 5
     m = n - d
@@ -202,8 +213,10 @@ def test_reduced_profile_columns_match_per_k_runs():
             above = (z[:, 1:] > z[:, :1] * (1.0 / math.sqrt(d))).sum(axis=1)
             return (above == k) | (above == m - k)
 
-        alone = ex.mc_run(lambda s: s.standard_normal(m + 1), trials, seed,
-                          kernel)
+        def fresh(s, row):
+            row[:] = s.standard_normal(m + 1)
+
+        alone = ex.mc_run(fresh, trials, seed, kernel, row_shape=(m + 1,))
         assert profile[k].as_dict() == alone.as_dict()
         assert ex.reduced_kfacet_probability_mc(
             n, d, k, trials, seed).as_dict() == alone.as_dict()

@@ -4,10 +4,12 @@ gpoly must fail here rather than break ``perfbench/run.py --trace 1``."""
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpoly.cli
 from gpoly import experiments
+from gpoly.sampling import stream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -33,3 +35,24 @@ def test_trials_stay_where_the_traced_run_reads_them(fn, index):
     assert names[index] == "trials"
     assert all(p.kind is p.KEYWORD_ONLY
                for p in params[names.index("kernel") + 1:])
+
+
+@pytest.mark.parametrize("fn", [experiments.mc_run,
+                                experiments.mc_run_vector])
+def test_row_shape_is_required_and_keyword_only(fn):
+    # every draw fills its row, so the driver always needs the row shape
+    row_shape = inspect.signature(fn).parameters["row_shape"]
+    assert row_shape.kind is row_shape.KEYWORD_ONLY
+    assert row_shape.default is row_shape.empty
+
+
+def test_truncated_draw_returns_the_points_it_kept(monkeypatch):
+    # layers._result_size counts the kept values from the returned array,
+    # the numerator of sampling.truncation_accept_ratio
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+
+    out = np.empty((5, 3))
+    kept = experiments._truncated_coords(stream(1, 2), out, 0.0)
+    assert kept is out
+    assert layers._result_size((), {}, kept) == out.size == 15

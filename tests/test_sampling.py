@@ -157,13 +157,15 @@ def test_gaussian_coordinates_anderson_darling():
 
 
 def test_truncated_no_truncation_proxy():
-    x1 = sp._truncated_coords(sp.stream(8, 0), 100_000, 4, 40.0)[:, 0]
+    out = np.empty((100_000, 4))
+    x1 = sp._truncated_coords(sp.stream(8, 0), out, 40.0)[:, 0]
     se = x1.std() / math.sqrt(len(x1))
     assert abs(x1.mean()) <= 3 * se
 
 
 def test_truncated_at_zero_half_normal_moments():
-    x1 = sp._truncated_coords(sp.stream(8, 1), 100_000, 3, 0.0)[:, 0]
+    out = np.empty((100_000, 3))
+    x1 = sp._truncated_coords(sp.stream(8, 1), out, 0.0)[:, 0]
     assert np.all(x1 <= 0.0)
     half_mean = math.sqrt(2.0 / math.pi)
     se = x1.std() / math.sqrt(len(x1))
@@ -175,7 +177,8 @@ def test_truncated_at_zero_half_normal_moments():
 
 
 def test_truncated_other_coordinates_stay_standard_normal():
-    coords = sp._truncated_coords(sp.stream(8, 2), 100_000, 4, 0.0)
+    out = np.empty((100_000, 4))
+    coords = sp._truncated_coords(sp.stream(8, 2), out, 0.0)
     for j in (1, 2, 3):
         col = coords[:, j]
         se = col.std() / math.sqrt(len(col))
@@ -183,10 +186,39 @@ def test_truncated_other_coordinates_stay_standard_normal():
         assert abs(col.var() - 1.0) <= 0.02
 
 
+def _rejection_reference(s, count, d, t):
+    # an allocating rejection loop: each pass draws the missing rows afresh
+    # and keeps the accepted ones in order
+    out = np.empty((count, d))
+    got = 0
+    while got < count:
+        batch = s.standard_normal((count - got, d))
+        acc = batch[batch[:, 0] <= t]
+        take = min(len(acc), count - got)
+        out[got:got + take] = acc[:take]
+        got += take
+    return out
+
+
+@settings(deadline=None)
+@given(count=st.integers(1, 12), d=st.integers(1, 6),
+       t=st.floats(0.0, 3.0), seed=_KEYS, stream_id=_KEYS)
+def test_truncated_fill_matches_rejection_reference(count, d, t, seed,
+                                                    stream_id):
+    s, ref = sp.stream(seed, stream_id), sp.stream(seed, stream_id)
+    out = np.empty((count, d))
+    assert sp._truncated_coords(s, out, t) is out
+    assert np.array_equal(out, _rejection_reference(ref, count, d, t))
+    # both streams stopped at the same place
+    assert s.uniform() == ref.uniform()
+
+
 def test_truncated_rejects_negative_t():
-    # the truncated-bound check is the one entry point that takes t
-    with pytest.raises(ValueError):
-        verify_truncated_bound(3, -0.5, 10, 0)
+    # the truncated-bound check is the one entry point that takes t; a NaN
+    # t would reject every row and never return
+    for t in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            verify_truncated_bound(3, t, 10, 0)
 
 
 def test_point_set_immutable_and_validated():
