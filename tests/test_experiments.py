@@ -111,6 +111,25 @@ def test_mc_run_propagates_trial_index():
     assert err.value.trial_index == 137
 
 
+def test_mc_run_filled_rows_match_returned_rows():
+    # three chunks, the last one partial: draws made in place with out=
+    # equal fresh draws copied into the row
+    def fill(s, row):
+        s.standard_normal(out=row[0])
+        s.uniform(out=row[1])
+
+    def copy(s, row):
+        row[:] = np.stack((s.standard_normal(3), s.uniform(3)))
+
+    def kernel(block):
+        return block.sum(axis=(1, 2))
+
+    filled = ex.mc_run(fill, 2 * ex.CHUNK + 300, 6, kernel, row_shape=(2, 3))
+    returned = ex.mc_run(copy, 2 * ex.CHUNK + 300, 6, kernel,
+                         row_shape=(2, 3))
+    assert filled.as_dict() == returned.as_dict()
+
+
 def test_mc_run_fill_error_names_the_trial():
     def fill(s, row):
         if s.stream_id == ex.CHUNK + 5:
