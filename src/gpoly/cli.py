@@ -232,12 +232,12 @@ def cmd_constants(args) -> Output:
         if args.alpha is None or args.r is None:
             raise ValueError("kfacet constants need --alpha and --r")
         params = {"alpha": args.alpha, "r": args.r}
+        factor = theory.growth_factor(args.alpha, args.r)
         c = theory.c_alpha_r(args.alpha, args.r)
         payload = {"command": "constants", "target": "kfacet",
                    "params": params,
                    "c": c.as_record("c_alpha_r"),
-                   "growth_base": theory.growth_base_from_c(
-                       args.alpha, args.r, c.value)}
+                   "growth_base": factor * c.value}
     else:
         params = {}
         signs = [("-", "-"), ("+", "-"), ("-", "+"), ("+", "+")]

@@ -10,23 +10,27 @@ sets: profiles, facet masks and the Monte Carlo kernels all count sides
 through ``_side_table``, and a single point set is the block with T = 1.
 ``disjoint_pairs`` is the one test of which subsets share no point.
 
-One degeneracy contract: ``signed_distances`` solves every subset's
-hyperplane relative to an anchor outside it in one batched solve, and
-sends a point set it cannot accept to the one reference path, SVD normals.
-There the rule of ``mathcore.degenerate``, which ``general_position_check``
-shares, and then the on-band test |distance| <= DEGENERACY_RTOL *
-max |coordinate| raise rather than tie-break, naming the point set's row,
-since Gaussian inputs hit them with probability zero.
+One degeneracy contract. The side of point j relative to subset S is the
+sign of the ``mathcore.signed_volumes`` determinant over S u {j}. A point
+set is counted from those signs when all are sure and each subset lies in
+a (d+1)-set the kernel's screen clears, so that none is dependent by the
+rule of ``mathcore.degenerate``, which ``general_position_check`` shares.
+Any other point set takes the reference path, SVD normals, where the rule
+and then the on-band test |distance| <= DEGENERACY_RTOL * max |coordinate|
+raise, naming the point set's row, rather than tie-break, since Gaussian
+inputs reach them with probability zero.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import DEGENERACY_RTOL, coordinate_scale, degenerate
+from .mathcore import (DEGENERACY_RTOL, coordinate_scale, degenerate,
+                       signed_volumes)
 
 _BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
 GP_EXHAUSTIVE_MAX_N = 16  # general_position_check samples above this n
@@ -109,85 +113,62 @@ def _outside(n: int, subsets: np.ndarray) -> np.ndarray:
     return outside.reshape(-1, n)
 
 
-def _on_band(dist: np.ndarray, outside: np.ndarray, scale) -> np.ndarray:
-    """The on-band test: outside points of (..., c, n) distances within
-    DEGENERACY_RTOL times their coordinate scale (...,), or not a number."""
-    band = DEGENERACY_RTOL * np.asarray(scale)[..., None, None]
-    return ~(np.abs(dist) > band) & outside
-
-
-def _anchored_distances(block: np.ndarray, subsets: np.ndarray,
-                        anchors: np.ndarray):
-    """The fast path: distances to every subset's hyperplane
-    theta . (x - x_a) = 1, a the subset's anchor, from one batched solve of
-    (x_i - x_a) theta = 1 over its points x_i. A singular system makes every
-    distance NaN; a huge or non-finite theta leaves the anchor, at distance
-    -1 / |theta|, on the band, or its distances NaN."""
-    t, n, d = block.shape
-    lo, hi = anchors.min(initial=0), anchors.max(initial=0) + 1
-    # x_i - x_a for every point i and anchor a in lo..hi-1, in (n, T, d)
-    # order, so that the subtraction and the gather move whole (T, d) slabs
-    points = np.ascontiguousarray(block.transpose(1, 0, 2))
-    shifted = (points[None] - points[lo:hi, None]).reshape(-1, t, d)
-    systems = np.take(shifted, (anchors - lo)[:, None] * n + subsets,
-                      axis=0).transpose(2, 0, 1, 3)
-    try:
-        theta = np.linalg.solve(systems, np.ones((d, 1)))[..., 0]
-    except np.linalg.LinAlgError:
-        return np.full((t, len(subsets), n), np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = np.sqrt(np.einsum("tij,tij->ti", theta, theta))
-        # a contiguous (T, d, n) operand halves the matmul time of a view
-        dist = np.matmul(theta, np.ascontiguousarray(block.swapaxes(-1, -2)))
-        dist -= 1.0 + dist[:, np.arange(len(subsets)), anchors, None]
-        dist /= norms[..., None]
-    return dist
-
-
 def _reference_distances(pts: np.ndarray, subsets: np.ndarray, row: int):
-    """The reference path for one point set pts (n, d): distances along the
-    SVD unit normals of every subset. The degeneracy rule goes first, over
-    every subset, then the on-band test; each raises its error, naming
-    ``row``, for the first subset (and point) in order."""
-    scale = coordinate_scale(pts)
-    sub = pts[subsets]
-    _, sv, vt = np.linalg.svd(sub[:, 1:] - sub[:, :1])
-    bad = degenerate(sv, scale)
-    if bad.any():
-        raise DegenerateSubsetError(subsets[np.argmax(bad)], row)
-    normals = vt[:, -1]
-    dist = normals @ pts.T - np.einsum("ij,ij->i", normals, sub[:, 0])[:, None]
-    on = _on_band(dist, _outside(len(pts), subsets), scale)
-    if on.any():
-        i, j = np.argwhere(on)[0]
-        raise DegeneracyError(subsets[i], j, row)
-    return dist
+    """The reference path for one point set pts (n, d) or a block (T, n, d):
+    distances along the SVD unit normals of every subset. In each point set
+    the degeneracy rule goes first, over every subset, then the on-band
+    test; the first point set that fails raises for its first subset (and
+    point), naming its row, ``row`` plus its index in the block."""
+    block = _as_block(pts)
+    scale = coordinate_scale(block)
+    sub = block[:, subsets]
+    _, sv, vt = np.linalg.svd(sub[..., 1:, :] - sub[..., :1, :])
+    bad = degenerate(sv, scale[:, None])
+    normals = vt[..., -1, :]
+    dist = normals @ block.swapaxes(1, 2) - np.einsum(
+        "tij,tij->ti", normals, sub[..., 0, :])[..., None]
+    # on the band: within DEGENERACY_RTOL * scale, or not a number
+    on = ~(np.abs(dist) > DEGENERACY_RTOL * scale[:, None, None]) \
+        & _outside(block.shape[1], subsets)
+    failed = bad.any(axis=1) | on.any(axis=(1, 2))
+    if failed.any():
+        r = int(np.argmax(failed))
+        if bad[r].any():
+            raise DegenerateSubsetError(subsets[np.argmax(bad[r])], row + r)
+        i, j = np.argwhere(on[r])[0]
+        raise DegeneracyError(subsets[i], j, row + r)
+    return dist if np.ndim(pts) == 3 else dist[0]
 
 
 def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Distance of every point to the affine hull of every subset.
+    """Distances of every point to every subset's affine hull, (c, n) for
+    coordinates (n, d) and (T, c, n) for a block, by the reference path
+    (``_reference_distances``), which ``_side_table`` takes only for the
+    point sets its determinants do not decide."""
+    return _reference_distances(coords, subsets, 0)
 
-    Returns shape (len(subsets), n) for coordinates of shape (n, d), and
-    (T, len(subsets), n) for a block of T point sets of shape (T, n, d),
-    with an arbitrary but consistent sign per subset. The fast path solves
-    relative to the anchor, the smallest index outside the subset, so a
-    singular system means degenerate input; it rejects a point set whose
-    solve is singular or non-finite, that has an outside point on the band,
-    or that has no anchor (n = d). Rejected point sets go, in order, to the
-    reference path, which raises the error naming their row or supplies
-    their distances.
-    """
-    block = _as_block(coords)
-    n, d = block.shape[1:]
-    outside = _outside(n, subsets)
-    scale = coordinate_scale(block)
-    # with n = d a subset has no anchor: argmax names one of its own points,
-    # whose zero row makes the system singular
-    dist = _anchored_distances(block, subsets, np.argmax(outside, axis=1))
-    rejected = _on_band(dist, outside, scale).any(axis=(1, 2)) | (n == d)
-    for r in np.flatnonzero(rejected):
-        dist[r] = _reference_distances(block[r], subsets, r)
-    return dist if np.ndim(coords) == 3 else dist[0]
+
+@functools.lru_cache(maxsize=8)
+def _orientation_table(n: int, d: int, key: bytes):
+    """(sets, index, flip) for the subset list with bytes ``key``: the
+    distinct sorted (d+1)-sets S u {j}, j outside S, in rows of sets; the
+    row of S u {j} in index[S, j]; and flip[S, j], True where an odd number
+    of points of S lie below j, so that the orientation of S then j is the
+    determinant over S u {j}, negated where flip, up to a sign per S."""
+    subsets = np.frombuffer(key, dtype=np.intp).reshape(-1, d)
+    c = len(subsets)
+    points = np.nonzero(_outside(n, subsets))[1].reshape(c, n - d)
+    sets = np.sort(np.concatenate(
+        [np.broadcast_to(subsets[:, None], (c, n - d, d)), points[..., None]],
+        axis=2), axis=2).reshape(-1, d + 1)
+    order = np.lexsort(sets.T[::-1])
+    sets = sets[order]
+    first = np.ones(len(sets), dtype=bool)
+    first[1:] = (sets[1:] != sets[:-1]).any(axis=1)
+    index = np.empty(len(sets), dtype=np.intp)
+    index[order] = np.cumsum(first) - 1
+    flip = (subsets[:, None] < points[..., None]).sum(axis=2) % 2 == 1
+    return sets[first], index.reshape(c, n - d), flip
 
 
 def _side_table(coords: np.ndarray, subsets: np.ndarray):
@@ -195,25 +176,44 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
 
     Yields (rows, cols, below), slices and a table: below[t, j] counts the
     points outside subset subsets[cols][j] strictly below its hyperplane in
-    point set coords[rows][t]; the other n - d - below lie strictly above,
-    as none is on the band. Each numpy call covers at most _BLOCK (point
-    set, subset) pairs: max(1, _BLOCK // c) point sets at a time, and chunks
-    of subsets when c > _BLOCK. Point sets come in order, so the error
-    raised, naming the row of its point set, is the one they would raise
-    one at a time.
+    point set coords[rows][t]; the other n - d - below lie strictly above.
+    The signs come from ``signed_volumes``, one determinant per (d+1)-set
+    of the list, shared by every subset in it. Each numpy call covers at
+    most _BLOCK (point set, subset or set) pairs: max(1, _BLOCK // max(c,
+    m)) point sets at a time, m sets, and chunks of sets and of subsets
+    past _BLOCK. A point set the signs do not decide takes
+    ``signed_distances``, in order, so the error raised, naming the row of
+    its point set, is the one they would raise one at a time.
     """
+    t, n, d = coords.shape
     c = len(subsets)
-    outside = _outside(coords.shape[1], subsets)
-    step = max(1, _BLOCK // c)
-    for lo in range(0, len(coords), step):
+    sets, index, flip = _orientation_table(
+        n, d, np.ascontiguousarray(subsets, dtype=np.intp).tobytes())
+    step = max(1, _BLOCK // max(c, len(sets)))
+    for lo in range(0, t, step):
+        block = coords[lo:lo + step]
+        scale = coordinate_scale(block)[:, None]
+        parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
+                                - np.take(block, part[:, :1], axis=1), scale)
+                 for part in np.split(sets, range(_BLOCK, len(sets), _BLOCK))]
+        dets, sure, clear = (np.concatenate(p, axis=1) for p in zip(*parts))
+        decided = sure.all(axis=1)
+        # every subset needs one cleared set; look where one is missed
+        doubt = np.flatnonzero(decided & ~(clear.all(axis=1) & (n > d)))
+        decided[doubt] = clear[doubt][:, index].any(axis=2).all(axis=1)
+        rest = np.flatnonzero(~decided)
         for s0 in range(0, c, _BLOCK):
             rows, cols = slice(lo, lo + step), slice(s0, s0 + _BLOCK)
-            try:
-                dist = signed_distances(coords[rows], subsets[cols])
-            except (DegenerateSubsetError, DegeneracyError) as err:
-                err.row += lo
-                raise
-            yield rows, cols, ((dist < 0) & outside[cols]).sum(axis=2)
+            below = ((dets < 0)[:, index[cols]] ^ flip[cols]).sum(axis=2)
+            if rest.size:
+                try:
+                    dist = signed_distances(block[rest], subsets[cols])
+                except (DegenerateSubsetError, DegeneracyError) as err:
+                    err.row = lo + int(rest[err.row])
+                    raise
+                below[rest] = ((dist < 0) & _outside(n, subsets[cols])
+                               ).sum(axis=2)
+            yield rows, cols, below
 
 
 def profile_counts(coords: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
@@ -305,7 +305,8 @@ def general_position_check(ps, max_reported: int = 16
     sample of GP_SAMPLES subsets; the report lists the first max_reported
     violations. A subset fails by the dependence rule of the SVD reference
     path, ``mathcore.degenerate``: sigma_min(edges) <= DEGENERACY_RTOL *
-    max(sigma_max, max |coordinate|).
+    max(sigma_max, max |coordinate|), applied by SVD to the subsets whose
+    ``mathcore.signed_volumes`` determinant the screen does not clear.
     """
     coords = ps.coords
     n, d = ps.n, ps.d
@@ -319,8 +320,13 @@ def general_position_check(ps, max_reported: int = 16
         subs = np.sort(rng.permuted(rows, axis=1)[:, :size], axis=1)
         exhaustive = False
     pts = coords[subs]
-    sv = np.linalg.svd(pts[:, 1:] - pts[:, :1], compute_uv=False)
-    bad = degenerate(sv, coordinate_scale(coords))
+    edges = pts[:, 1:] - pts[:, :1]
+    scale = coordinate_scale(coords)
+    bad = ~signed_volumes(edges, scale)[2] if size > d \
+        else np.ones(len(subs), dtype=bool)
+    rows = np.flatnonzero(bad)
+    bad[rows] = degenerate(np.linalg.svd(edges[rows], compute_uv=False),
+                           scale)
     violations = [tuple(int(i) for i in subs[i])
                   for i in np.nonzero(bad)[0][:max_reported]]
     return GeneralPositionReport(passed=not bad.any(), violations=violations,

@@ -1,14 +1,15 @@
-"""Numeric substrate: the degeneracy rule, full-dimensional simplex volumes,
-Gaussian special functions, adaptive 1-D quadrature, and derivative-free
-maximization over boxes.
+"""Numeric substrate: the degeneracy rule, the signed-volume kernel,
+full-dimensional simplex volumes, Gaussian special functions, adaptive 1-D
+quadrature, and derivative-free maximization over boxes.
 
 Everything here is a pure function of its inputs. One rule, with one
-tolerance, decides every degeneracy in the package (``degenerate``):
-simplex volumes, the geometry's SVD reference path and general-position
-audits all apply it, and the geometry's on-band width is the same
-tolerance. Maximization never assumes unimodality: a dense grid scan is
-always followed by local refinement, and the reported value is the best
-point actually evaluated.
+tolerance, decides every degeneracy in the package (``degenerate``), and
+one kernel computes every determinant (``signed_volumes``): simplex
+volumes, the geometry's side counts and general-position audits take their
+determinants from it, and apply the rule by SVD only to the matrices its
+screen does not clear. Maximization never assumes unimodality: a dense grid
+scan is always followed by local refinement, and the reported value is the
+best point actually evaluated.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, linalg, optimize, special
 
 DEGENERACY_RTOL = 1e-9
+_U = 2.0 ** -53  # unit roundoff of float64
 REFINE_STARTS = 8  # grid cells maximize_box refines from
 
 
@@ -50,6 +52,53 @@ def degenerate(sv: np.ndarray, scale) -> np.ndarray:
         DEGENERACY_RTOL * np.maximum(sv.max(axis=-1, initial=0.0), scale)
 
 
+def signed_volumes(edges: np.ndarray, scale):
+    """Determinants of edge matrices E (..., d, d) and two masks: sure, det
+    E and det of the exact edges that E rounds have the sign of ``dets``;
+    clear, ``degenerate`` is False for E and for the edges of any d of its
+    d + 1 points. ``scale`` broadcasts against the block.
+
+    g = |det| ((d-1) / F^2)^((d-1)/2), F = ||E||_F, is at most sigma_min
+    (Guggenheimer, Edelman and Johnson, 1995). LU with partial pivoting
+    gives det B with ||B - E||_F <= kappa F, kappa = 1.01 (u + d^2 gamma_d
+    2^(d-1)): |B - E| <= gamma_d |L||U| (Higham 2002, Thm 9.3) with growth
+    <= 2^(d-1), u for the rounding of E, 1.01 for the rest. If 4 d kappa <=
+    1, sigma_min(B) > g / 2, so g > 4 kappa F is sure: no matrix within
+    kappa F of B is singular, and sigma_min(E) > g / 4. Where that fails,
+    scipy's LU, B = P L U, has row i of B - E at most w_i = gamma_d
+    ||(P|L||U|)_i|| + u ||e_i||, so |det B - det E| <= prod ||e_i||
+    expm1(sum w_i / ||e_i||) (Hadamard, row by row): sure if |det B|
+    exceeds 1.01 times that with the sign of ``dets``. Clear is sure by the
+    first test and g > 8 DEGENERACY_RTOL max(d F, sqrt(d) scale): the edges
+    of d of the points, from any one of them, are M E with sigma_min(M) >=
+    1 / sqrt(d) and ||M||_2 <= sqrt(d), which leaves a factor 2 for their
+    rounding and the SVD's.
+    """
+    d = edges.shape[-1]
+    gamma = d * _U / (1.0 - d * _U)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        kappa = 1.01 * (_U + d * d * gamma * np.exp2(d - 1.0))
+        dets = np.linalg.det(edges)
+        frob = np.sqrt(np.einsum("...ij,...ij->...", edges, edges))
+        g = np.abs(dets) * ((d - 1) / frob ** 2) ** ((d - 1) / 2)
+        sure = (g > 4 * kappa * frob) & (4 * d * kappa <= 1)
+        clear = sure & (g > 8 * DEGENERACY_RTOL * np.maximum(
+            d * frob, math.sqrt(d) * scale))
+        rows = np.flatnonzero(~sure & (g > 0) & np.isfinite(g))
+        if rows.size:  # the second test, on each matrix's own LU factors
+            mats = edges.reshape(-1, d, d)[rows]
+            perm, low, up = linalg.lu(mats)
+            norms = np.linalg.norm(mats, axis=-1)
+            w = gamma * np.linalg.norm(perm @ (np.abs(low) @ np.abs(up)),
+                                       axis=-1) + _U * norms
+            det_b = np.linalg.det(perm) * np.prod(
+                np.diagonal(up, axis1=-2, axis2=-1), axis=-1)
+            np.put(sure, rows, (np.abs(det_b) > 1.01 * np.prod(norms, axis=-1)
+                                * np.expm1((w / norms).sum(axis=-1)))
+                   & (np.sign(det_b) == np.sign(dets.ravel()[rows])))
+    return dets, sure, clear
+
+
 def simplex_volume(points):
     """d-dimensional volume |det E| / d! of the simplex on d+1 points in R^d.
 
@@ -58,12 +107,10 @@ def simplex_volume(points):
     volumes; any other shape raises ValueError. E is the (d, d) edge matrix
     x_i - x_0.
 
-    One ``np.linalg.det`` serves the whole block. A simplex is degenerate,
+    The determinants come from ``signed_volumes``. A simplex is degenerate,
     with volume 0, by the rule of ``degenerate`` on E, at the scale of its
-    coordinates. Since sigma_max <= ||E||_F, such an E has
-    |det E| <= DEGENERACY_RTOL F^d, F = max(||E||_F, scale). Rows under that
-    screen take the SVD that applies the rule; the others keep their
-    determinant.
+    coordinates; rows the kernel's screen does not clear take the SVD that
+    applies the rule, and the others keep their determinant.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim not in (2, 3):
@@ -77,13 +124,9 @@ def simplex_volume(points):
     edges = block[:, 1:] - block[:, :1]
     if not np.all(np.isfinite(edges)):
         raise ValueError("matrix entries must be finite")
-    dets = np.linalg.det(edges)
     scale = coordinate_scale(block)
-    with np.errstate(over="ignore"):
-        # overflows to inf for large d, which sends every row to the rule
-        screen = DEGENERACY_RTOL * np.maximum(np.linalg.norm(
-            edges, axis=(1, 2)), scale) ** d
-    rows = np.flatnonzero(np.abs(dets) <= screen)
+    dets, _, clear = signed_volumes(edges, scale)
+    rows = np.flatnonzero(~clear)
     sv = np.linalg.svd(edges[rows], compute_uv=False)
     dets[rows[degenerate(sv, scale[rows])]] = 0.0
     vols = np.abs(dets) / math.factorial(d)

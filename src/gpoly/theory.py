@@ -110,18 +110,22 @@ def kfacet_expectation_exact(n: int, d: int, k: int) -> float:
     return math.exp(kfacet_log_expectation_exact(n, d, k))
 
 
-def c_alpha_r(alpha: float, r: float) -> ConstantResult:
-    """Maximum over y of Phi(y)^e1 (1 - Phi(y))^e2 phi(y).
-
-    The exponents e1 = r (alpha - 1), e2 = (1 - r)(alpha - 1) are the
-    scaling under which k-facet counts at k ~ r (n - d) grow like value^d.
-    """
+def _check_alpha_r(alpha: float, r: float) -> None:
     if not alpha > 1.0:  # NaN too
         raise ValueError(f"need alpha > 1, got {alpha}")
     if alpha == math.inf:
         raise ValueError(f"need a finite alpha, got {alpha}")
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"need r in [0, 1], got {r}")
+
+
+def c_alpha_r(alpha: float, r: float) -> ConstantResult:
+    """Maximum over y of Phi(y)^e1 (1 - Phi(y))^e2 phi(y).
+
+    The exponents e1 = r (alpha - 1), e2 = (1 - r)(alpha - 1) are the
+    scaling under which k-facet counts at k ~ r (n - d) grow like value^d.
+    """
+    _check_alpha_r(alpha, r)
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
 
     def objective(y: float) -> float:
@@ -141,14 +145,22 @@ def growth_base_kfacet(alpha: float, r: float) -> float:
 
     2^(alpha H(1/alpha)) * 2^((alpha-1) H(r)) * sqrt(2 pi) * c_alpha_r.
     """
-    return growth_base_from_c(alpha, r, c_alpha_r(alpha, r).value)
+    factor = growth_factor(alpha, r)  # first: no maximizer on an overflow
+    return factor * c_alpha_r(alpha, r).value
 
 
-def growth_base_from_c(alpha: float, r: float, c: float) -> float:
-    """The growth base for a known c = c_alpha_r(alpha, r).value."""
+def growth_factor(alpha: float, r: float) -> float:
+    """2^(alpha H(1/alpha) + (alpha-1) H(r)) sqrt(2 pi), the growth base per
+    unit of c_alpha_r(alpha, r).value. Raises ValueError, naming alpha,
+    where it overflows float64."""
+    _check_alpha_r(alpha, r)
     exponent = alpha * binary_entropy(1.0 / alpha) \
         + (alpha - 1.0) * binary_entropy(r)
-    return float(2.0 ** exponent * math.sqrt(2.0 * math.pi) * c)
+    try:
+        return 2.0 ** exponent * math.sqrt(2.0 * math.pi)
+    except OverflowError:
+        raise ValueError(f"the growth base overflows float64 at alpha "
+                         f"{alpha}, r {r}") from None
 
 
 def _sign_factor(t, sign: str):

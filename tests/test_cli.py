@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -392,9 +393,21 @@ def test_constants_kfacet_alt_exponents_is_gone():
     ("growth --alpha nan", "got alpha nan"),
     ("growth --alpha inf", "got alpha inf"),
     ("growth --alpha 1e308", "got alpha 1e+308"),
+    # the growth base overflows float64 before any maximizer runs
+    ("constants kfacet --alpha 1100 --r 0.5",
+     "overflows float64 at alpha 1100"),
+    ("constants kfacet --alpha 1e300 --r 0.5",
+     "overflows float64 at alpha 1e+300"),
+    ("constants kfacet --alpha 1e308 --r 0.5",
+     "overflows float64 at alpha 1e+308"),
+    ("growth --alpha 1100 --k-mode middle --d-min 2 --d-max 2",
+     "overflows float64 at alpha 1100"),
 ])
 def test_usage_errors_return_2_with_one_message(argv, message, capsys):
-    assert cli.main(argv.split()) == 2  # returned, not raised
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(argv.split()) == 2  # returned, not raised
+    assert not caught  # no RuntimeWarning line on stderr either
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("gpoly: error: ") and err.count("\n") == 1

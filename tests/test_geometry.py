@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpoly import geometry as geo
+from gpoly.mathcore import coordinate_scale, signed_volumes
 from gpoly.sampling import PointSet, gaussian_point_set, stream
 
 
@@ -246,6 +247,15 @@ def test_profile_simplex():
     for d in (1, 2, 3, 4, 5):
         ps = gauss(d, d + 1, d)
         assert geo.kfacet_profile(ps).e.tolist() == [d + 1, d + 1]
+
+
+def test_profile_with_no_outside_point():
+    # n = d: the one subset has no (d+1)-set, so the reference path decides
+    # it, with a side count of 0 or by the dependence rule
+    for d in (1, 3):
+        assert geo.profile_counts(gauss(d, d, d).coords).tolist() == [1]
+    with pytest.raises(geo.DegenerateSubsetError):
+        geo.profile_counts(np.array([[1.0, 2.0], [1.0, 2.0]]))
 
 
 def test_profile_sum_identity_odd():
@@ -516,6 +526,65 @@ def exact_orientations(coords, subsets):
     return signs
 
 
+def assert_one_subset_contract(coords, subset):
+    """The one-subset call profile_counts(coords, subset[None]) counts by
+    the exact orientation signs, or raises what the reference path raises
+    on that subset alone."""
+    n, d = coords.shape
+    try:
+        got = geo.profile_counts(coords, subset[None])
+    except (geo.DegeneracyError, geo.DegenerateSubsetError) as err:
+        with pytest.raises(type(err)) as ref:
+            geo._reference_distances(coords, subset[None], 0)
+        assert vars(ref.value) == vars(err)
+        return
+    signs = exact_orientations(coords, subset[None])[0]
+    below, above = int((signs < 0).sum()), int((signs > 0).sum())
+    assert below + above == n - d
+    want = np.zeros(n - d + 1, dtype=int)
+    want[[below, above]] = 1
+    assert np.array_equal(got, want)
+
+
+def test_one_subset_call_sees_a_dependent_subset():
+    # point 2 sits 1e-12 off the line through points 0 and 1: the one
+    # subset (0, 1, 2) is dependent, with no other subset to show it
+    rng = np.random.default_rng(3)
+    coords = rng.standard_normal((7, 3))
+    coords[2] = 0.3 * coords[0] + 0.7 * coords[1] + [0.0, 0.0, 1e-12]
+    assert geo.general_position_check(PointSet.from_coords(coords)
+                                      ).violations[0][:3] == (0, 1, 2)
+    with pytest.raises(geo.DegenerateSubsetError) as err:
+        geo.profile_counts(coords, geo.subset_array(3, 3))
+    assert (err.value.row, err.value.subset) == (0, (0, 1, 2))
+
+
+def test_point_near_a_hyperplane_counts_by_its_orientation():
+    # trial 62 of estranged mc --d 7 --seed 994914863: point 9 lies 1.7e-9
+    # from the hyperplane of this subset, inside the on-band width of the
+    # reference path, yet its orientation determinant is sure of its sign
+    coords = stream(994914863, 62).standard_normal((14, 7))
+    subset = np.array([[0, 2, 5, 7, 8, 12, 13]])
+    with pytest.raises(geo.DegeneracyError) as err:
+        geo.signed_distances(coords, subset)
+    assert err.value.point_index == 9
+    profile = geo.profile_counts(coords)
+    mask = geo.facet_mask(coords, geo.subset_array(14, 7))
+    assert profile.sum() == 2 * math.comb(14, 7)  # n - d odd: none balanced
+    assert mask.sum() == profile[0]
+    sets, index, flip = geo._orientation_table(14, 7, subset.tobytes())
+    dets, sure, _ = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
+                                   coordinate_scale(coords))
+    assert sure.all()
+    sides = np.where(flip[0], -1, 1) * np.sign(dets[index[0]]).astype(int)
+    exact = exact_orientations(coords, subset)[0]
+    outside = [j for j in range(14) if j not in subset[0]]
+    assert np.array_equal(sides, exact[outside]) \
+        or np.array_equal(sides, -exact[outside])
+    assert side_split(coords, subset[0])[0] in ((exact < 0).sum(),
+                                                (exact > 0).sum())
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
        st.sampled_from(["push", "short", "origin", "anchor"]),
@@ -545,6 +614,7 @@ def test_side_decisions_match_exact_orientations(d, extra, seed, kind,
     else:
         coords[others[0]] = rng.dirichlet(np.ones(d)) @ coords[subset]
     subsets = geo.subset_array(n, d)
+    assert_one_subset_contract(coords, subset)
     try:
         got = geo.profile_counts(coords), geo.facet_mask(coords, subsets)
     except (geo.DegeneracyError, geo.DegenerateSubsetError) as err:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -71,6 +72,79 @@ def test_simplex_volume_high_dimension():
 def test_simplex_volume_rejects_non_finite():
     with pytest.raises(ValueError):
         mc.simplex_volume([[0.0, 0.0], [1.0, np.inf], [0.0, 1.0]])
+
+
+# ------------------------------------------------------ signed-volume kernel
+
+def exact_det_sign(matrix):
+    """Sign of the determinant of a float matrix, each entry the dyadic
+    rational it stores, by Gaussian elimination in Fractions."""
+    m = [[Fraction(float(v)) for v in row] for row in matrix]
+    sign = 1
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if p is None:
+            return 0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        sign *= 1 if m[c][c] > 0 else -1
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return sign
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 8])
+def test_sure_determinants_have_the_exact_sign(d):
+    # near-singular edge matrices: the last row is a combination of the
+    # others plus t times a unit vector, with t swept through the rounding
+    # bound, at three scales, and exactly singular integer matrices, whose
+    # computed determinant is rounding noise
+    rng = np.random.default_rng(d)
+    rows = []
+    for t in np.logspace(-17, -6, 120):
+        e = rng.standard_normal((d, d))
+        e[-1] = rng.standard_normal(d - 1) @ e[:-1] \
+            + t * rng.choice([-1.0, 1.0]) * np.eye(d)[rng.integers(d)]
+        rows += [e, e * 2.0 ** -100, e * 2.0 ** 100]
+    for _ in range(40):
+        e = rng.integers(-9, 10, (d, d)).astype(float)
+        e[-1] = rng.integers(-3, 4, d - 1) @ e[:-1]
+        rows.append(e / 3.0)
+    edges = np.array(rows)
+    dets, sure, clear = mc.signed_volumes(edges, 1.0)
+    exact = np.array([exact_det_sign(e) for e in edges])
+    assert np.all(np.sign(dets[sure]) == exact[sure])
+    assert not clear[~sure].any()
+    # the sweep straddles the bound, which sits between the rounding unit
+    # and 1e-12 of Hadamard's bound: rows on both sides of it, and no
+    # exactly singular row among the sure ones
+    with np.errstate(invalid="ignore"):  # a zero row: 0 / 0
+        ratio = np.abs(dets) / np.prod(np.linalg.norm(edges, axis=2), axis=1)
+    assert np.all(sure[ratio > 1e-12]) and not sure[ratio < 2.0 ** -53].any()
+    assert (ratio > 1e-12).sum() > 60 and (ratio < 2.0 ** -53).sum() > 40
+    assert not sure[exact == 0].any()
+
+
+def test_signed_volumes_screen_implies_the_rule():
+    # a cleared matrix passes the SVD rule, and so does the edge matrix of
+    # every d of its d + 1 points, in any order
+    rng = np.random.default_rng(11)
+    for d in (1, 2, 4, 7):
+        pts = rng.standard_normal((300, d + 1, d))
+        pts[::3, 1] = pts[::3, 0] + rng.standard_normal((100, d)) \
+            * 10.0 ** -rng.uniform(4, 12, (100, 1))
+        edges = pts[:, 1:] - pts[:, :1]
+        scale = mc.coordinate_scale(pts)
+        _, sure, clear = mc.signed_volumes(edges, scale)
+        assert clear.any() and not clear.all() and np.all(sure[clear])
+        for k in range(d + 1):
+            sub = rng.permuted(np.delete(pts, k, axis=1), axis=1)
+            sv = np.linalg.svd(sub[:, 1:] - sub[:, :1], compute_uv=False)
+            assert not mc.degenerate(sv, scale)[clear].any()
+        sv = np.linalg.svd(edges, compute_uv=False)
+        assert not mc.degenerate(sv, scale)[clear].any()
 
 
 # --------------------------------------------------------- special functions
