@@ -10,15 +10,15 @@ sets: profiles, facet masks and the Monte Carlo kernels all count sides
 through ``_side_table``, and a single point set is the block with T = 1.
 ``disjoint_pairs`` is the one test of which subsets share no point.
 
-One degeneracy contract. The side of point j relative to subset S is the
-sign of the ``mathcore.signed_volumes`` determinant over S u {j}. A point
-set is counted from those signs when all are sure and each subset lies in
-a (d+1)-set the kernel's screen clears, so that none is dependent by the
-rule of ``mathcore.degenerate``, which ``general_position_check`` shares.
-Any other point set takes the reference path, SVD normals, where the rule
-and then the on-band test |distance| <= DEGENERACY_RTOL * max |coordinate|
-raise, naming the point set's row, rather than tie-break, since Gaussian
-inputs reach them with probability zero.
+One degeneracy contract: a (d+1)-set is degenerate when one of its
+d-subsets fails the rule of ``mathcore.degenerate`` or its exact
+orientation is zero. ``general_position_check`` reports such sets, and the
+enumeration raises on them, naming the point set's row, rather than
+tie-break, since Gaussian inputs reach them with probability zero. The
+side of point j relative to subset S is the sign of the
+``mathcore.signed_volumes`` determinant over S u {j}. A point set is
+counted from those signs when all are sure and each subset lies in a
+(d+1)-set the kernel's screen clears; any other takes ``signed_distances``.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import (DEGENERACY_RTOL, coordinate_scale, degenerate,
+from .mathcore import (coordinate_scale, degenerate, orientation_signs,
                        signed_volumes)
 
 _BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
@@ -52,7 +52,8 @@ class DegenerateSubsetError(ValueError):
 
 
 class DegeneracyError(ValueError):
-    """A point outside the subset lies in the on-band of its hyperplane.
+    """A point outside the subset lies on its hyperplane: their exact
+    orientation is zero.
 
     ``row`` is the index of the point set in the block that raised (0 for
     a single point set).
@@ -62,7 +63,7 @@ class DegeneracyError(ValueError):
         subset = tuple(int(i) for i in subset)
         point_index = int(point_index)
         super().__init__(f"point {point_index} lies on the hyperplane of "
-                         f"subset {subset} at tolerance")
+                         f"subset {subset}")
         self.subset = subset
         self.point_index = point_index
         self.row = int(row)
@@ -113,39 +114,56 @@ def _outside(n: int, subsets: np.ndarray) -> np.ndarray:
     return outside.reshape(-1, n)
 
 
-def _reference_distances(pts: np.ndarray, subsets: np.ndarray, row: int):
-    """The reference path for one point set pts (n, d) or a block (T, n, d):
-    distances along the SVD unit normals of every subset. In each point set
-    the degeneracy rule goes first, over every subset, then the on-band
-    test; the first point set that fails raises for its first subset (and
-    point), naming its row, ``row`` plus its index in the block."""
-    block = _as_block(pts)
-    scale = coordinate_scale(block)
-    sub = block[:, subsets]
-    _, sv, vt = np.linalg.svd(sub[..., 1:, :] - sub[..., :1, :])
-    bad = degenerate(sv, scale[:, None])
-    normals = vt[..., -1, :]
-    dist = normals @ block.swapaxes(1, 2) - np.einsum(
-        "tij,tij->ti", normals, sub[..., 0, :])[..., None]
-    # on the band: within DEGENERACY_RTOL * scale, or not a number
-    on = ~(np.abs(dist) > DEGENERACY_RTOL * scale[:, None, None]) \
-        & _outside(block.shape[1], subsets)
-    failed = bad.any(axis=1) | on.any(axis=(1, 2))
-    if failed.any():
-        r = int(np.argmax(failed))
-        if bad[r].any():
-            raise DegenerateSubsetError(subsets[np.argmax(bad[r])], row + r)
-        i, j = np.argwhere(on[r])[0]
-        raise DegeneracyError(subsets[i], j, row + r)
-    return dist if np.ndim(pts) == 3 else dist[0]
+def _edge_sv(pts: np.ndarray) -> np.ndarray:
+    """Singular values of the edges from the first point of each tuple of
+    points (..., k, d), for the rule of ``degenerate``."""
+    return np.linalg.svd(pts[..., 1:, :] - pts[..., :1, :], compute_uv=False)
 
 
 def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Distances of every point to every subset's affine hull, (c, n) for
-    coordinates (n, d) and (T, c, n) for a block, by the reference path
-    (``_reference_distances``), which ``_side_table`` takes only for the
-    point sets its determinants do not decide."""
-    return _reference_distances(coords, subsets, 0)
+    """Signed distances of every point to every subset's hyperplane, (c, n)
+    for coordinates (n, d) and (T, c, n) for a block, 0 on the subset's own
+    points, by the degeneracy contract; ``_side_table`` calls it for the
+    point sets its float signs leave undecided.
+
+    Point j and subset S take the sign of det [x_s, 1; x_j, 1], S then j:
+    from ``signed_volumes`` where it is sure, else ``orientation_signs``.
+    The magnitude is |det| over the product of the singular values of S's
+    edges, the norm of the hyperplane's cofactor normal, and at least the
+    smallest subnormal. Point set by point set, the first subset that
+    fails the rule of ``degenerate`` raises DegenerateSubsetError, then the
+    first (subset, point) with a zero orientation raises DegeneracyError,
+    each naming the point set's row.
+    """
+    block = _as_block(coords)
+    t, n, d = block.shape
+    c = len(subsets)
+    scale = coordinate_scale(block)
+    sv = np.concatenate([_edge_sv(block[:, part]) for part in np.split(
+        subsets, range(_BLOCK, c, _BLOCK))], axis=1)  # _BLOCK per call
+    bad = degenerate(sv, scale[:, None])
+    sets, index, flip = _orientation_table(
+        n, d, np.ascontiguousarray(subsets, dtype=np.intp).tobytes())
+    dets, sure, _ = _set_volumes(block, sets)
+    side = np.where(flip, -1.0, 1.0) * np.sign(dets[:, index])
+    for r in np.flatnonzero(bad.any(axis=1) | ~sure.all(axis=1)):
+        if bad[r].any():
+            raise DegenerateSubsetError(subsets[np.argmax(bad[r])], r)
+        exact = {}  # sign of det E, for each set that is not sure
+        for i, k in np.argwhere(~sure[r][index]):
+            m = index[i, k]
+            if m not in exact:
+                exact[m] = (-1) ** d * orientation_signs(block[r, sets[m]])
+            if exact[m] == 0:
+                raise DegeneracyError(subsets[i], np.delete(
+                    np.arange(n), subsets[i])[k], r)
+            side[r, i, k] = -exact[m] if flip[i, k] else exact[m]
+    # a sign the float determinant lost to rounding keeps a nonzero distance
+    size = np.maximum(np.abs(dets[:, index]) / np.prod(sv, axis=-1)[..., None],
+                      np.finfo(float).smallest_subnormal)
+    dist = np.zeros((t, c, n))
+    dist[:, _outside(n, subsets)] = (side * size).reshape(t, -1)
+    return dist if np.ndim(coords) == 3 else dist[0]
 
 
 @functools.lru_cache(maxsize=8)
@@ -171,6 +189,17 @@ def _orientation_table(n: int, d: int, key: bytes):
     return sets[first], index.reshape(c, n - d), flip
 
 
+def _set_volumes(block: np.ndarray, sets: np.ndarray):
+    """``signed_volumes`` of the edges of every (d+1)-set in ``sets`` in
+    every point set of a (T, n, d) block, each (T, m), over chunks of at
+    most _BLOCK sets."""
+    scale = coordinate_scale(block)[:, None]
+    parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
+                            - np.take(block, part[:, :1], axis=1), scale)
+             for part in np.split(sets, range(_BLOCK, len(sets), _BLOCK))]
+    return (np.concatenate(p, axis=1) for p in zip(*parts))
+
+
 def _side_table(coords: np.ndarray, subsets: np.ndarray):
     """Side counts of every subset in every point set of a (T, n, d) block.
 
@@ -181,38 +210,35 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
     of the list, shared by every subset in it. Each numpy call covers at
     most _BLOCK (point set, subset or set) pairs: max(1, _BLOCK // max(c,
     m)) point sets at a time, m sets, and chunks of sets and of subsets
-    past _BLOCK. A point set the signs do not decide takes
-    ``signed_distances``, in order, so the error raised, naming the row of
+    past _BLOCK. A point set with a determinant that is not sure, or with a
+    subset in no (d+1)-set the screen clears, takes ``signed_distances``
+    over the whole list, in order, so the error raised, naming the row of
     its point set, is the one they would raise one at a time.
     """
     t, n, d = coords.shape
     c = len(subsets)
     sets, index, flip = _orientation_table(
         n, d, np.ascontiguousarray(subsets, dtype=np.intp).tobytes())
-    step = max(1, _BLOCK // max(c, len(sets)))
+    step = max(1, _BLOCK // max(1, c, len(sets)))
     for lo in range(0, t, step):
         block = coords[lo:lo + step]
-        scale = coordinate_scale(block)[:, None]
-        parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
-                                - np.take(block, part[:, :1], axis=1), scale)
-                 for part in np.split(sets, range(_BLOCK, len(sets), _BLOCK))]
-        dets, sure, clear = (np.concatenate(p, axis=1) for p in zip(*parts))
+        dets, sure, clear = _set_volumes(block, sets)
         decided = sure.all(axis=1)
         # every subset needs one cleared set; look where one is missed
         doubt = np.flatnonzero(decided & ~(clear.all(axis=1) & (n > d)))
         decided[doubt] = clear[doubt][:, index].any(axis=2).all(axis=1)
         rest = np.flatnonzero(~decided)
+        if rest.size:
+            try:
+                dist = signed_distances(block[rest], subsets)
+            except (DegenerateSubsetError, DegeneracyError) as err:
+                err.row = lo + int(rest[err.row])
+                raise
         for s0 in range(0, c, _BLOCK):
             rows, cols = slice(lo, lo + step), slice(s0, s0 + _BLOCK)
             below = ((dets < 0)[:, index[cols]] ^ flip[cols]).sum(axis=2)
             if rest.size:
-                try:
-                    dist = signed_distances(block[rest], subsets[cols])
-                except (DegenerateSubsetError, DegeneracyError) as err:
-                    err.row = lo + int(rest[err.row])
-                    raise
-                below[rest] = ((dist < 0) & _outside(n, subsets[cols])
-                               ).sum(axis=2)
+                below[rest] = (dist[:, cols] < 0).sum(axis=2)
             yield rows, cols, below
 
 
@@ -303,10 +329,13 @@ def general_position_check(ps, max_reported: int = 16
 
     Exhaustive for n <= GP_EXHAUSTIVE_MAX_N, otherwise a fixed-seed random
     sample of GP_SAMPLES subsets; the report lists the first max_reported
-    violations. A subset fails by the dependence rule of the SVD reference
-    path, ``mathcore.degenerate``: sigma_min(edges) <= DEGENERACY_RTOL *
-    max(sigma_max, max |coordinate|), applied by SVD to the subsets whose
-    ``mathcore.signed_volumes`` determinant the screen does not clear.
+    violations. A (d+1)-set fails by the degeneracy contract of the
+    enumeration: one of its d-subsets fails the rule of
+    ``mathcore.degenerate``, or its exact orientation
+    (``mathcore.orientation_signs``) is zero. Both tests run only on the
+    sets whose ``mathcore.signed_volumes`` determinant the screen does not
+    clear, and the exact one only where that determinant is not sure. With
+    n <= d the one subset, all n points, fails by the rule alone.
     """
     coords = ps.coords
     n, d = ps.n, ps.d
@@ -320,13 +349,17 @@ def general_position_check(ps, max_reported: int = 16
         subs = np.sort(rng.permuted(rows, axis=1)[:, :size], axis=1)
         exhaustive = False
     pts = coords[subs]
-    edges = pts[:, 1:] - pts[:, :1]
     scale = coordinate_scale(coords)
-    bad = ~signed_volumes(edges, scale)[2] if size > d \
-        else np.ones(len(subs), dtype=bool)
-    rows = np.flatnonzero(bad)
-    bad[rows] = degenerate(np.linalg.svd(edges[rows], compute_uv=False),
-                           scale)
+    if size > d:
+        _, sure, clear = signed_volumes(pts[:, 1:] - pts[:, :1], scale)
+        bad = np.zeros(len(subs), dtype=bool)
+        rows = np.flatnonzero(~clear)
+        bad[rows] = degenerate(_edge_sv(pts[rows][:, subset_array(size, d)]),
+                               scale).any(axis=1)
+        rows = rows[~bad[rows] & ~sure[rows]]
+        bad[rows] = orientation_signs(pts[rows]) == 0
+    else:
+        bad = degenerate(_edge_sv(pts), scale)
     violations = [tuple(int(i) for i in subs[i])
                   for i in np.nonzero(bad)[0][:max_reported]]
     return GeneralPositionReport(passed=not bad.any(), violations=violations,

@@ -1,15 +1,17 @@
-"""Numeric substrate: the degeneracy rule, the signed-volume kernel,
-full-dimensional simplex volumes, Gaussian special functions, adaptive 1-D
-quadrature, and derivative-free maximization over boxes.
+"""Numeric substrate: the degeneracy rule, the signed-volume kernel and its
+exact fallback, full-dimensional simplex volumes, Gaussian special
+functions, adaptive 1-D quadrature, and derivative-free maximization over
+boxes.
 
 Everything here is a pure function of its inputs. One rule, with one
-tolerance, decides every degeneracy in the package (``degenerate``), and
-one kernel computes every determinant (``signed_volumes``): simplex
+tolerance, decides every dependent subset in the package (``degenerate``),
+and one kernel computes every determinant (``signed_volumes``): simplex
 volumes, the geometry's side counts and general-position audits take their
 determinants from it, and apply the rule by SVD only to the matrices its
-screen does not clear. Maximization never assumes unimodality: a dense grid
-scan is always followed by local refinement, and the reported value is the
-best point actually evaluated.
+screen does not clear. A sign the kernel is not sure of comes from
+``orientation_signs``, in exact integer arithmetic. Maximization never
+assumes unimodality: a dense grid scan is always followed by local
+refinement, and the reported value is the best point actually evaluated.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, linalg, optimize, special
+from scipy import integrate, optimize, special
 
 DEGENERACY_RTOL = 1e-9
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -56,7 +58,8 @@ def signed_volumes(edges: np.ndarray, scale):
     """Determinants of edge matrices E (..., d, d) and two masks: sure, det
     E and det of the exact edges that E rounds have the sign of ``dets``;
     clear, ``degenerate`` is False for E and for the edges of any d of its
-    d + 1 points. ``scale`` broadcasts against the block.
+    d + 1 points. ``scale`` broadcasts against the block. A sign that is
+    not sure is for ``orientation_signs`` to decide.
 
     g = |det| ((d-1) / F^2)^((d-1)/2), F = ||E||_F, is at most sigma_min
     (Guggenheimer, Edelman and Johnson, 1995). LU with partial pivoting
@@ -64,15 +67,11 @@ def signed_volumes(edges: np.ndarray, scale):
     2^(d-1)): |B - E| <= gamma_d |L||U| (Higham 2002, Thm 9.3) with growth
     <= 2^(d-1), u for the rounding of E, 1.01 for the rest. If 4 d kappa <=
     1, sigma_min(B) > g / 2, so g > 4 kappa F is sure: no matrix within
-    kappa F of B is singular, and sigma_min(E) > g / 4. Where that fails,
-    scipy's LU, B = P L U, has row i of B - E at most w_i = gamma_d
-    ||(P|L||U|)_i|| + u ||e_i||, so |det B - det E| <= prod ||e_i||
-    expm1(sum w_i / ||e_i||) (Hadamard, row by row): sure if |det B|
-    exceeds 1.01 times that with the sign of ``dets``. Clear is sure by the
-    first test and g > 8 DEGENERACY_RTOL max(d F, sqrt(d) scale): the edges
-    of d of the points, from any one of them, are M E with sigma_min(M) >=
-    1 / sqrt(d) and ||M||_2 <= sqrt(d), which leaves a factor 2 for their
-    rounding and the SVD's.
+    kappa F of B is singular, and sigma_min(E) > g / 4. Clear is sure and
+    g > 8 DEGENERACY_RTOL max(d F, sqrt(d) scale): the edges of d of the
+    points, from any one of them, are M E with sigma_min(M) >= 1 / sqrt(d)
+    and ||M||_2 <= sqrt(d), which leaves a factor 2 for their rounding and
+    the SVD's.
     """
     d = edges.shape[-1]
     gamma = d * _U / (1.0 - d * _U)
@@ -84,19 +83,45 @@ def signed_volumes(edges: np.ndarray, scale):
         sure = (g > 4 * kappa * frob) & (4 * d * kappa <= 1)
         clear = sure & (g > 8 * DEGENERACY_RTOL * np.maximum(
             d * frob, math.sqrt(d) * scale))
-        rows = np.flatnonzero(~sure & (g > 0) & np.isfinite(g))
-        if rows.size:  # the second test, on each matrix's own LU factors
-            mats = edges.reshape(-1, d, d)[rows]
-            perm, low, up = linalg.lu(mats)
-            norms = np.linalg.norm(mats, axis=-1)
-            w = gamma * np.linalg.norm(perm @ (np.abs(low) @ np.abs(up)),
-                                       axis=-1) + _U * norms
-            det_b = np.linalg.det(perm) * np.prod(
-                np.diagonal(up, axis1=-2, axis2=-1), axis=-1)
-            np.put(sure, rows, (np.abs(det_b) > 1.01 * np.prod(norms, axis=-1)
-                                * np.expm1((w / norms).sum(axis=-1)))
-                   & (np.sign(det_b) == np.sign(dets.ravel()[rows])))
     return dets, sure, clear
+
+
+def orientation_signs(points) -> np.ndarray:
+    """Exact signs of det [x_i, 1] over the rows x_i of each (d + 1, d)
+    matrix of a block (..., d + 1, d), each coordinate the dyadic rational
+    it stores: ``np.frexp`` scales each lifted matrix to integers by a
+    power of 2, and fraction-free elimination (Bareiss 1968) takes the
+    sign in exact integer arithmetic."""
+    pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("matrix entries must be finite")
+    lifted = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
+    mant, exp = np.frexp(lifted.reshape((-1,) + lifted.shape[-2:]))
+    ints = (mant * 2.0 ** 53).astype(np.int64)  # entry = ints 2^(exp - 53)
+    shift = exp - exp.min(axis=(1, 2), keepdims=True)
+    signs = [_bareiss_sign([[v << s for v, s in zip(*row)]
+                            for row in zip(*mat)])
+             for mat in zip(ints.tolist(), shift.tolist())]
+    return np.array(signs, dtype=int).reshape(pts.shape[:-2])
+
+
+def _bareiss_sign(m: list) -> int:
+    """Sign of the determinant of the integer rows ``m``: each step divides
+    exactly by the last pivot, and the final pivot is the determinant up
+    to the sign of the row swaps."""
+    sign, pivot = 1, 1
+    while m:
+        p = next((r for r, row in enumerate(m) if row[0]), None)
+        if p is None:
+            return 0
+        if p:
+            m[0], m[p] = m[p], m[0]
+            sign = -sign
+        top, head = m[0], m[0][0]
+        m = [[(a * head - row[0] * b) // pivot
+              for a, b in zip(row[1:], top[1:])] for row in m[1:]]
+        pivot = head
+    return sign if pivot > 0 else -sign
 
 
 def simplex_volume(points):

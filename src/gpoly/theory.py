@@ -124,6 +124,8 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
 
     The exponents e1 = r (alpha - 1), e2 = (1 - r)(alpha - 1) are the
     scaling under which k-facet counts at k ~ r (n - d) grow like value^d.
+    Raises ValueError, naming alpha, where the maximum underflows to 0 or
+    is not finite.
     """
     _check_alpha_r(alpha, r)
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
@@ -133,8 +135,12 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
         lb = e2 * std_normal_log_cdf(-y) if e2 != 0.0 else 0.0
         return math.exp(la + lb - 0.5 * y * y) / math.sqrt(2.0 * math.pi)
 
-    res = maximize_1d(objective, -INTEGRATION_HALF_WIDTH,
-                      INTEGRATION_HALF_WIDTH)
+    with np.errstate(over="ignore"):  # an exponent of -inf: checked below
+        res = maximize_1d(objective, -INTEGRATION_HALF_WIDTH,
+                          INTEGRATION_HALF_WIDTH)
+    if not 0.0 < res.value < math.inf:
+        raise ValueError(f"c_alpha_r is {res.value} at alpha {alpha}, not "
+                         f"a positive finite number")
     return ConstantResult(value=res.value, argmax=res.argmax,
                           context={"alpha": alpha, "r": r},
                           diagnostics=res)

@@ -402,6 +402,9 @@ def test_constants_kfacet_alt_exponents_is_gone():
      "overflows float64 at alpha 1e+308"),
     ("growth --alpha 1100 --k-mode middle --d-min 2 --d-max 2",
      "overflows float64 at alpha 1100"),
+    # the growth factor is finite, but c_alpha_r underflows to 0
+    ("constants kfacet --alpha 1e307 --r 0",
+     "c_alpha_r is 0.0 at alpha 1e+307"),
 ])
 def test_usage_errors_return_2_with_one_message(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:

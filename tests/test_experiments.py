@@ -241,16 +241,23 @@ def test_reduced_profile_columns_match_per_k_runs():
             n, d, k, trials, seed).as_dict() == alone.as_dict()
 
 
+def _exact_midpoint(x):
+    """Round points 0 and 1 of x to multiples of 2^-20, in place, and
+    return their midpoint, which then lies exactly on their line."""
+    x[:2] = np.round(x[:2] * 2.0 ** 20) / 2.0 ** 20
+    return 0.5 * (x[0] + x[1])
+
+
 def test_fixed_subset_on_band_row_names_the_trial(monkeypatch):
     # trial 4096 + 137 (row 137 of the second chunk's first block) puts
-    # point 2 at the midpoint of points 0 and 1, on their line
+    # point 2 at the midpoint of points 0 and 1, exactly on their line
     bad = ex.CHUNK + 137
     plain = RngStream.standard_normal
 
     def draw(self, size=None, out=None):
         out = plain(self, size, out)
         if self.stream_id == bad:
-            out[2] = 0.5 * (out[0] + out[1])
+            out[2] = _exact_midpoint(out)
         return out
 
     monkeypatch.setattr(RngStream, "standard_normal", draw)
@@ -277,9 +284,9 @@ def _spoil(stream_id, point, value):
 
 
 @pytest.mark.parametrize("run, n, point, value, error, subset, point_index", [
-    # point 2 on the line through points 0 and 1
+    # point 2 exactly on the line through points 0 and 1
     (lambda: ex.kfacet_expectation_mc(5, 2, 1, 2 * ex.CHUNK, 3), 5, 2,
-     lambda x: 0.5 * (x[0] + x[1]), geometry.DegeneracyError, (0, 1), 2),
+     lambda x: _exact_midpoint(x), geometry.DegeneracyError, (0, 1), 2),
     # point 1 on top of point 0: only the SVD fallback sees the dependence
     (lambda: ex.pair_facet_probability_mc(2, 2 * ex.CHUNK, 3), 4, 1,
      lambda x: x[0], geometry.DegenerateSubsetError, (0, 1), None),

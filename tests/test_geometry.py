@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gpoly import geometry as geo
-from gpoly.mathcore import coordinate_scale, signed_volumes
+from gpoly.mathcore import coordinate_scale, degenerate, signed_volumes
 from gpoly.sampling import PointSet, gaussian_point_set, stream
 
 
@@ -178,11 +178,18 @@ def test_signed_distances_block_matches_point_sets():
                                atol=1e-12)
 
 
+def dyadic(points):
+    """Points rounded to multiples of 2^-20, so that the midpoint of two of
+    them is exact, on their line."""
+    return np.round(points * 2.0 ** 20) / 2.0 ** 20
+
+
 def test_on_band_hit():
-    # the first on-band point in (point set, subset, point) order raises,
-    # and a subset's own points never count
+    # the first point exactly on a hyperplane in (point set, subset, point)
+    # order raises, and a subset's own points never count
     subsets = geo.subset_array(5, 2)
     block = np.stack([gauss(seed, 5, 2).coords for seed in range(4)])
+    block[2:, :2] = dyadic(block[2:, :2])
     block[2, 3] = 0.5 * (block[2, 0] + block[2, 1])  # on the line 0, 1
     block[3, 4] = 0.5 * (block[3, 0] + block[3, 1])
     with pytest.raises(geo.DegeneracyError) as err:
@@ -194,6 +201,22 @@ def test_on_band_hit():
     assert (err.value.row, err.value.subset, err.value.point_index) \
         == (0, (0, 1), 4)
     assert geo.profile_counts(block[:2]).shape == (2, 4)
+
+
+def test_float_midpoint_counts_by_its_exact_orientation():
+    # the midpoints of test_on_band_hit, rounded from float endpoints, miss
+    # the line: their exact orientations are nonzero, so every point set
+    # is counted by its exact signs
+    block = np.stack([gauss(seed, 5, 2).coords for seed in range(4)])
+    block[2, 3] = 0.5 * (block[2, 0] + block[2, 1])
+    block[3, 4] = 0.5 * (block[3, 0] + block[3, 1])
+    subsets = geo.subset_array(5, 2)
+    assert exact_orientations(block[2], subsets)[0, 3] == -1
+    assert exact_orientations(block[3], subsets)[0, 4] == 1
+    got = geo.profile_counts(block), geo.facet_mask(block, subsets)
+    for coords, e, mask in zip(block, *got):
+        want = exact_counts(exact_orientations(coords, subsets), 2)
+        assert np.array_equal(e, want[0]) and np.array_equal(mask, want[1])
 
 
 def test_block_errors_come_in_point_set_order():
@@ -256,6 +279,17 @@ def test_profile_with_no_outside_point():
         assert geo.profile_counts(gauss(d, d, d).coords).tolist() == [1]
     with pytest.raises(geo.DegenerateSubsetError):
         geo.profile_counts(np.array([[1.0, 2.0], [1.0, 2.0]]))
+
+
+def test_empty_subset_list():
+    # no subsets: an all-zero profile and an empty mask, for one point set
+    # and for a block
+    block = np.stack([gauss(seed, 6, 2).coords for seed in range(3)])
+    empty = np.empty((0, 2), dtype=np.intp)
+    assert geo.profile_counts(block[0], empty).tolist() == [0] * 5
+    assert np.array_equal(geo.profile_counts(block, empty), np.zeros((3, 5)))
+    assert geo.facet_mask(block, empty).shape == (3, 0)
+    assert geo.facet_mask(block[0], empty).shape == (0,)
 
 
 def test_profile_sum_identity_odd():
@@ -526,24 +560,51 @@ def exact_orientations(coords, subsets):
     return signs
 
 
-def assert_one_subset_contract(coords, subset):
-    """The one-subset call profile_counts(coords, subset[None]) counts by
-    the exact orientation signs, or raises what the reference path raises
-    on that subset alone."""
-    n, d = coords.shape
+def contract_error(coords, subsets):
+    """What the degeneracy contract raises for one point set, or None, and
+    the exact orientation signs: the first subset whose edges fail the rule
+    of ``degenerate``, else the first (subset, point) whose exact
+    orientation is zero."""
+    scale = coordinate_scale(coords)
+    for s in subsets:
+        sv = np.linalg.svd(coords[s[1:]] - coords[s[:1]], compute_uv=False)
+        if degenerate(sv, scale):
+            return geo.DegenerateSubsetError(s), None
+    signs = exact_orientations(coords, subsets)
+    for s, row in zip(subsets, signs):
+        for j in sorted(set(range(len(coords))) - set(s)):
+            if row[j] == 0:
+                return geo.DegeneracyError(s, j), signs
+    return None, signs
+
+
+def exact_counts(signs, d):
+    """The profile and facet mask that exact orientation signs give, with
+    no point on a hyperplane."""
+    m = signs.shape[1] - d
+    below, above = (signs < 0).sum(axis=1), (signs > 0).sum(axis=1)
+    assert np.all(below + above == m)
+    profile = np.bincount(below, minlength=m + 1) \
+        + np.bincount(above, minlength=m + 1) \
+        - np.bincount(below[below == above], minlength=m + 1)
+    return profile, (below == 0) | (above == 0)
+
+
+def assert_contract(coords, subsets):
+    """profile_counts and facet_mask over ``subsets`` count by the exact
+    orientation signs, or raise exactly when the contract does, with its
+    error and names."""
+    want, signs = contract_error(coords, subsets)
     try:
-        got = geo.profile_counts(coords, subset[None])
+        got = geo.profile_counts(coords, subsets), \
+            geo.facet_mask(coords, subsets)
     except (geo.DegeneracyError, geo.DegenerateSubsetError) as err:
-        with pytest.raises(type(err)) as ref:
-            geo._reference_distances(coords, subset[None], 0)
-        assert vars(ref.value) == vars(err)
+        assert type(err) is type(want) and vars(err) == vars(want)
         return
-    signs = exact_orientations(coords, subset[None])[0]
-    below, above = int((signs < 0).sum()), int((signs > 0).sum())
-    assert below + above == n - d
-    want = np.zeros(n - d + 1, dtype=int)
-    want[[below, above]] = 1
-    assert np.array_equal(got, want)
+    assert want is None
+    profile, mask = exact_counts(signs, coords.shape[1])
+    assert np.array_equal(got[0], profile)
+    assert np.array_equal(got[1], mask)
 
 
 def test_one_subset_call_sees_a_dependent_subset():
@@ -561,41 +622,37 @@ def test_one_subset_call_sees_a_dependent_subset():
 
 def test_point_near_a_hyperplane_counts_by_its_orientation():
     # trial 62 of estranged mc --d 7 --seed 994914863: point 9 lies 1.7e-9
-    # from the hyperplane of this subset, inside the on-band width of the
-    # reference path, yet its orientation determinant is sure of its sign
+    # from the hyperplane of this subset, yet its orientation determinant
+    # is sure of its sign, and the distance has that sign
     coords = stream(994914863, 62).standard_normal((14, 7))
     subset = np.array([[0, 2, 5, 7, 8, 12, 13]])
-    with pytest.raises(geo.DegeneracyError) as err:
-        geo.signed_distances(coords, subset)
-    assert err.value.point_index == 9
+    dist = geo.signed_distances(coords, subset)[0]
+    assert 0 < abs(dist[9]) < 1e-8
+    assert np.array_equal(np.sign(dist), exact_orientations(coords, subset)[0])
     profile = geo.profile_counts(coords)
     mask = geo.facet_mask(coords, geo.subset_array(14, 7))
     assert profile.sum() == 2 * math.comb(14, 7)  # n - d odd: none balanced
     assert mask.sum() == profile[0]
+    # the static test leaves one of these determinants unsure; the sure
+    # ones have the exact sign, and the exact helper decides the other
     sets, index, flip = geo._orientation_table(14, 7, subset.tobytes())
     dets, sure, _ = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
                                    coordinate_scale(coords))
-    assert sure.all()
+    sure = sure[index[0]]
+    assert sure.sum() == 6
     sides = np.where(flip[0], -1, 1) * np.sign(dets[index[0]]).astype(int)
     exact = exact_orientations(coords, subset)[0]
     outside = [j for j in range(14) if j not in subset[0]]
-    assert np.array_equal(sides, exact[outside]) \
-        or np.array_equal(sides, -exact[outside])
+    assert np.array_equal(sides[sure], exact[outside][sure])
     assert side_split(coords, subset[0])[0] in ((exact < 0).sum(),
                                                 (exact > 0).sum())
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
-       st.sampled_from(["push", "short", "origin", "anchor"]),
-       st.integers(6, 15))
-def test_side_decisions_match_exact_orientations(d, extra, seed, kind,
-                                                 exponent):
-    # near-degenerate inputs: a point pushed 10^-exponent * scale from a
-    # subset's hyperplane, an edge that short, a subset's hull through the
-    # origin or through its anchor. Every count must follow the exact
-    # orientation signs, or the call must raise the reference path's error.
-    n = d + 1 + extra
+def near_degenerate(d, n, seed, kind, exponent):
+    """Gaussian coordinates (n, d) and a subset, made near-degenerate: a
+    point pushed 10^-exponent * scale from the subset's hyperplane, an edge
+    that short, the subset's hull through the origin or through its
+    anchor."""
     rng = np.random.default_rng(seed)
     coords = rng.standard_normal((n, d))
     subset = np.sort(rng.choice(n, d, replace=False))
@@ -613,20 +670,49 @@ def test_side_decisions_match_exact_orientations(d, extra, seed, kind,
         coords -= rng.dirichlet(np.ones(d)) @ coords[subset]
     else:
         coords[others[0]] = rng.dirichlet(np.ones(d)) @ coords[subset]
-    subsets = geo.subset_array(n, d)
-    assert_one_subset_contract(coords, subset)
+    return coords, subset
+
+
+KINDS = st.sampled_from(["push", "short", "origin", "anchor"])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.integers(0, 2 ** 32 - 1),
+       KINDS, st.integers(6, 15))
+def test_side_decisions_match_exact_orientations(d, extra, seed, kind,
+                                                 exponent):
+    # on near-degenerate inputs every count must follow the exact
+    # orientation signs, and a call must raise exactly when the contract
+    # does, naming what it names: for the one subset made near-degenerate
+    # alone, and for the full list
+    n = d + 1 + extra
+    coords, subset = near_degenerate(d, n, seed, kind, exponent)
+    assert_contract(coords, subset[None])
+    assert_contract(coords, geo.subset_array(n, d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 10), st.integers(0, 2 ** 32 - 1),
+       KINDS, st.integers(6, 15))
+def test_audit_agrees_with_the_enumeration(d, extra, seed, kind, exponent):
+    # general_position_check passes exactly when the full enumeration
+    # completes: both apply one contract, through one exact helper
+    n = min(d + 1 + extra, 16)
+    coords, _ = near_degenerate(d, n, seed, kind, exponent)
     try:
-        got = geo.profile_counts(coords), geo.facet_mask(coords, subsets)
-    except (geo.DegeneracyError, geo.DegenerateSubsetError) as err:
-        with pytest.raises(type(err)) as ref:
-            geo._reference_distances(coords, subsets, 0)
-        assert vars(ref.value) == vars(err)
-        return
-    signs = exact_orientations(coords, subsets)
-    below, above = (signs < 0).sum(axis=1), (signs > 0).sum(axis=1)
-    assert np.all(below + above == n - d)  # no point on a hyperplane
-    want = np.bincount(below, minlength=n - d + 1) \
-        + np.bincount(above, minlength=n - d + 1) \
-        - np.bincount(below[below == above], minlength=n - d + 1)
-    assert np.array_equal(got[0], want)
-    assert np.array_equal(got[1], (below == 0) | (above == 0))
+        geo.profile_counts(coords)
+        completes = True
+    except (geo.DegeneracyError, geo.DegenerateSubsetError):
+        completes = False
+    assert geo.general_position_check(
+        PointSet.from_coords(coords)).passed == completes
+
+
+def test_trial_62_passes_the_audit():
+    # the enumeration counts this point set, so the audit must pass it;
+    # (0, 2, 5, 7, 8, 9, 12, 13) has sigma_min 1.1e-9 of sigma_max on its
+    # 8 x 8 edges, yet exact orientation +1 and no dependent 7-subset
+    coords = stream(994914863, 62).standard_normal((14, 7))
+    geo.profile_counts(coords)
+    rep = geo.general_position_check(PointSet.from_coords(coords))
+    assert rep.passed and rep.violations == []

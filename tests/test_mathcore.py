@@ -103,7 +103,7 @@ def test_sure_determinants_have_the_exact_sign(d):
     # computed determinant is rounding noise
     rng = np.random.default_rng(d)
     rows = []
-    for t in np.logspace(-17, -6, 120):
+    for t in np.logspace(-17, -3, 120):
         e = rng.standard_normal((d, d))
         e[-1] = rng.standard_normal(d - 1) @ e[:-1] \
             + t * rng.choice([-1.0, 1.0]) * np.eye(d)[rng.integers(d)]
@@ -117,14 +117,44 @@ def test_sure_determinants_have_the_exact_sign(d):
     exact = np.array([exact_det_sign(e) for e in edges])
     assert np.all(np.sign(dets[sure]) == exact[sure])
     assert not clear[~sure].any()
-    # the sweep straddles the bound, which sits between the rounding unit
-    # and 1e-12 of Hadamard's bound: rows on both sides of it, and no
-    # exactly singular row among the sure ones
+    # the static bound of the docstring, g > 4 kappa F, certifies every
+    # determinant with |det| / F^d above 4 kappa (d - 1)^((1 - d) / 2), F
+    # the Frobenius norm, and nothing below the rounding unit of Hadamard's
+    # bound; the sweep straddles both, and no exactly singular row is sure
+    gamma = d * 2.0 ** -53 / (1.0 - d * 2.0 ** -53)
+    kappa = 1.01 * (2.0 ** -53 + d * d * gamma * 2.0 ** (d - 1))
+    bound = 4 * kappa * (d - 1) ** ((1 - d) / 2)
+    static = np.abs(dets) / np.linalg.norm(edges, axis=(1, 2)) ** d
     with np.errstate(invalid="ignore"):  # a zero row: 0 / 0
         ratio = np.abs(dets) / np.prod(np.linalg.norm(edges, axis=2), axis=1)
-    assert np.all(sure[ratio > 1e-12]) and not sure[ratio < 2.0 ** -53].any()
-    assert (ratio > 1e-12).sum() > 60 and (ratio < 2.0 ** -53).sum() > 40
+    assert np.all(sure[static > 1.01 * bound])
+    assert not sure[ratio < 2.0 ** -53].any()
+    assert (static > 1.01 * bound).sum() > 60 \
+        and (ratio < 2.0 ** -53).sum() > 40
     assert not sure[exact == 0].any()
+
+
+@pytest.mark.parametrize("d", range(1, 9))
+def test_orientation_signs_match_the_exact_oracle(d):
+    # integer points whose last point is an integer affine combination of
+    # the others (exact zeros), some of them nudged by 2^-40 (tiny nonzero
+    # signs), and Gaussian points, each column scaled by a power of two up
+    # to 2^+-1000 (subnormals included), which keeps every sign; and
+    # Gaussian entries at exponents mixed from 1e-300 to 1e300
+    rng = np.random.default_rng(d)
+    pts = rng.integers(-9, 10, (30, d + 1, d)).astype(float)
+    pts[:, -1] = pts[:, 0] + np.einsum("ti,tij->tj", rng.integers(
+        -3, 4, (30, d - 1)), pts[:, 1:d] - pts[:, :1])
+    pts[20:, -1, 0] += 2.0 ** -40
+    block = np.concatenate([pts, rng.standard_normal((10, d + 1, d))]) \
+        * np.exp2(rng.integers(-1000, 1001, (40, 1, d)))
+    block = np.concatenate([block, rng.standard_normal((20, d + 1, d))
+                            * 10.0 ** rng.uniform(-300, 300, (20, d + 1, d))])
+    want = [exact_det_sign(np.hstack([m, np.ones((d + 1, 1))]))
+            for m in block]
+    assert mc.orientation_signs(block).tolist() == want
+    assert want[:20] == [0] * 20 and want[20:30].count(0) < 5
+    assert mc.orientation_signs(block[3]) == want[3]
 
 
 def test_signed_volumes_screen_implies_the_rule():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import gpoly.cli
-from gpoly import experiments
+from gpoly import experiments, geometry
 from gpoly.sampling import stream
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -35,6 +35,13 @@ def test_trials_stay_where_the_traced_run_reads_them(fn, index):
     assert names[index] == "trials"
     assert all(p.kind is p.KEYWORD_ONLY
                for p in params[names.index("kernel") + 1:])
+
+
+def test_subsets_stay_where_the_traced_run_reads_them():
+    # layers._subsets reads the subset list of geometry.signed_distances at
+    # positional index 1, or by its keyword
+    names = list(inspect.signature(geometry.signed_distances).parameters)
+    assert names == ["coords", "subsets"]
 
 
 @pytest.mark.parametrize("fn", [experiments.mc_run,
