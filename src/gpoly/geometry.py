@@ -15,10 +15,10 @@ d-subsets fails the rule of ``mathcore.degenerate`` or its exact
 orientation is zero. ``general_position_check`` reports such sets, and the
 enumeration raises on them, naming the point set's row, rather than
 tie-break, since Gaussian inputs reach them with probability zero. The
-side of point j relative to subset S is the sign of the
-``mathcore.signed_volumes`` determinant over S u {j}. A point set is
-counted from those signs when all are sure and each subset lies in a
-(d+1)-set the kernel's screen clears; any other takes ``signed_distances``.
+side of point j relative to subset S is the sign of the orientation
+determinant over S u {j}, from ``mathcore.signed_volumes`` where it is
+sure; a point set with an unsure sign, or a subset no cleared (d+1)-set
+covers, takes its sides, signs only, from ``signed_distances``.
 """
 
 from __future__ import annotations
@@ -121,49 +121,46 @@ def _edge_sv(pts: np.ndarray) -> np.ndarray:
 
 
 def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
-    """Signed distances of every point to every subset's hyperplane, (c, n)
-    for coordinates (n, d) and (T, c, n) for a block, 0 on the subset's own
-    points, by the degeneracy contract; ``_side_table`` calls it for the
-    point sets its float signs leave undecided.
+    """Sides of every point relative to every subset's hyperplane, int8
+    (c, n) for coordinates (n, d) and (T, c, n) for a block: -1 or +1
+    outside the subset and 0 on its own points, by the degeneracy contract.
 
     Point j and subset S take the sign of det [x_s, 1; x_j, 1], S then j:
     from ``signed_volumes`` where it is sure, else ``orientation_signs``.
-    The magnitude is |det| over the product of the singular values of S's
-    edges, the norm of the hyperplane's cofactor normal, and at least the
-    smallest subnormal. Point set by point set, the first subset that
-    fails the rule of ``degenerate`` raises DegenerateSubsetError, then the
-    first (subset, point) with a zero orientation raises DegeneracyError,
-    each naming the point set's row.
+    Point set by point set, the first subset that fails the rule of
+    ``degenerate`` raises DegenerateSubsetError, then the first (subset,
+    point) with a zero orientation raises DegeneracyError, each naming the
+    point set's row. The rule's SVD runs only on the subsets that no
+    cleared (d+1)-set covers: the screen's bound passes the others.
     """
     block = _as_block(coords)
     t, n, d = block.shape
-    c = len(subsets)
-    scale = coordinate_scale(block)
-    sv = np.concatenate([_edge_sv(block[:, part]) for part in np.split(
-        subsets, range(_BLOCK, c, _BLOCK))], axis=1)  # _BLOCK per call
-    bad = degenerate(sv, scale[:, None])
     sets, index, flip = _orientation_table(
         n, d, np.ascontiguousarray(subsets, dtype=np.intp).tobytes())
-    dets, sure, _ = _set_volumes(block, sets)
-    side = np.where(flip, -1.0, 1.0) * np.sign(dets[:, index])
-    for r in np.flatnonzero(bad.any(axis=1) | ~sure.all(axis=1)):
-        if bad[r].any():
-            raise DegenerateSubsetError(subsets[np.argmax(bad[r])], r)
-        exact = {}  # sign of det E, for each set that is not sure
-        for i, k in np.argwhere(~sure[r][index]):
-            m = index[i, k]
-            if m not in exact:
-                exact[m] = (-1) ** d * orientation_signs(block[r, sets[m]])
-            if exact[m] == 0:
-                raise DegeneracyError(subsets[i], np.delete(
-                    np.arange(n), subsets[i])[k], r)
-            side[r, i, k] = -exact[m] if flip[i, k] else exact[m]
-    # a sign the float determinant lost to rounding keeps a nonzero distance
-    size = np.maximum(np.abs(dets[:, index]) / np.prod(sv, axis=-1)[..., None],
-                      np.finfo(float).smallest_subnormal)
-    dist = np.zeros((t, c, n))
-    dist[:, _outside(n, subsets)] = (side * size).reshape(t, -1)
-    return dist if np.ndim(coords) == 3 else dist[0]
+    dets, sure, clear = _set_volumes(block, sets)
+    covered = _covered(clear, index)
+    scale = coordinate_scale(block)
+    for r in np.flatnonzero(~covered.all(axis=1) | ~sure.all(axis=1)):
+        rest = np.flatnonzero(~covered[r])
+        for part in np.split(rest, range(_BLOCK, len(rest), _BLOCK)):
+            bad = degenerate(_edge_sv(block[r, subsets[part]]), scale[r])
+            if bad.any():
+                raise DegenerateSubsetError(subsets[part[np.argmax(bad)]], r)
+        unsure = np.flatnonzero(~sure[r])  # take the exact sign of det E
+        dets[r, unsure] = (-1) ** d * orientation_signs(block[r, sets[unsure]])
+        if np.any(dets[r, index] == 0):
+            i, k = np.argwhere(dets[r, index] == 0)[0]
+            raise DegeneracyError(subsets[i], np.delete(
+                np.arange(n), subsets[i])[k], r)
+    sides = np.zeros((t, len(subsets), n), dtype=np.int8)
+    sides[:, _outside(n, subsets)] = np.where(
+        (dets[:, index] < 0) ^ flip, -1, 1).reshape(t, -1)
+    return sides if np.ndim(coords) == 3 else sides[0]
+
+
+def _covered(clear: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """(T, c): True where a (d+1)-set that ``clear`` clears holds the subset."""
+    return clear[:, index].any(axis=2)
 
 
 @functools.lru_cache(maxsize=8)
@@ -210,10 +207,9 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
     of the list, shared by every subset in it. Each numpy call covers at
     most _BLOCK (point set, subset or set) pairs: max(1, _BLOCK // max(c,
     m)) point sets at a time, m sets, and chunks of sets and of subsets
-    past _BLOCK. A point set with a determinant that is not sure, or with a
-    subset in no (d+1)-set the screen clears, takes ``signed_distances``
-    over the whole list, in order, so the error raised, naming the row of
-    its point set, is the one they would raise one at a time.
+    past _BLOCK. A point set with an unsure sign or a subset no cleared set
+    covers (``_covered``) takes the sides of ``signed_distances``, over the
+    whole list in order, so it raises what a call per point set would.
     """
     t, n, d = coords.shape
     c = len(subsets)
@@ -226,11 +222,11 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
         decided = sure.all(axis=1)
         # every subset needs one cleared set; look where one is missed
         doubt = np.flatnonzero(decided & ~(clear.all(axis=1) & (n > d)))
-        decided[doubt] = clear[doubt][:, index].any(axis=2).all(axis=1)
+        decided[doubt] = _covered(clear[doubt], index).all(axis=1)
         rest = np.flatnonzero(~decided)
         if rest.size:
             try:
-                dist = signed_distances(block[rest], subsets)
+                sides = signed_distances(block[rest], subsets)
             except (DegenerateSubsetError, DegeneracyError) as err:
                 err.row = lo + int(rest[err.row])
                 raise
@@ -238,7 +234,7 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
             rows, cols = slice(lo, lo + step), slice(s0, s0 + _BLOCK)
             below = ((dets < 0)[:, index[cols]] ^ flip[cols]).sum(axis=2)
             if rest.size:
-                below[rest] = (dist[:, cols] < 0).sum(axis=2)
+                below[rest] = (sides[:, cols] < 0).sum(axis=2)
             yield rows, cols, below
 
 
@@ -337,19 +333,17 @@ def general_position_check(ps, max_reported: int = 16
     clear, and the exact one only where that determinant is not sure. With
     n <= d the one subset, all n points, fails by the rule alone.
     """
-    coords = ps.coords
     n, d = ps.n, ps.d
     size = min(d + 1, n)
-    if n <= GP_EXHAUSTIVE_MAX_N:
+    exhaustive = n <= GP_EXHAUSTIVE_MAX_N
+    if exhaustive:
         subs = subset_array(n, size)
-        exhaustive = True
     else:
         rng = np.random.default_rng(20240 + size)  # fixed seed: report is deterministic
         rows = np.broadcast_to(np.arange(n, dtype=np.intp), (GP_SAMPLES, n))
         subs = np.sort(rng.permuted(rows, axis=1)[:, :size], axis=1)
-        exhaustive = False
-    pts = coords[subs]
-    scale = coordinate_scale(coords)
+    pts = ps.coords[subs]
+    scale = coordinate_scale(ps.coords)
     if size > d:
         _, sure, clear = signed_volumes(pts[:, 1:] - pts[:, :1], scale)
         bad = np.zeros(len(subs), dtype=bool)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .mathcore import (
     MaximizeResult,
+    QuadratureError,
     integrate_1d,
     log_binomial,
     log_gamma,
@@ -73,7 +74,8 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
     Equals m * C(n-d, k) * sqrt(d / 2 pi) * integral of
     Phi(y)^k (1 - Phi(y))^(n-d-k) exp(-d y^2 / 2), with m = 2 except at the
     balanced layer k = (n-d)/2, where each subset would otherwise be counted
-    for both sides at once.
+    for both sides at once. A value outside [0, 1] by more than the scaled
+    error estimate of the quadrature raises QuadratureError.
     """
     _check_kfacet_inputs(n, d, k)
     m = n - d
@@ -87,7 +89,11 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
 
     quad = integrate_1d(integrand, -INTEGRATION_HALF_WIDTH,
                         INTEGRATION_HALF_WIDTH, rel_tol=1e-11)
-    p = factor * math.exp(lc) * math.sqrt(d / (2.0 * math.pi)) * quad.value
+    scale = factor * math.exp(lc) * math.sqrt(d / (2.0 * math.pi))
+    p, err = scale * quad.value, scale * quad.abs_error_estimate
+    if not -err <= p <= 1.0 + err:
+        raise QuadratureError(f"k-facet probability {p} is outside [0, 1] "
+                              f"by more than {err}", p, err, quad.evaluations)
     return min(max(p, 0.0), 1.0)
 
 

@@ -80,29 +80,35 @@ def graham_hull_vertex_count(coords):
 
 def test_hyperplane_simple():
     coords = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-    dist = geo.signed_distances(coords, np.array([[0, 1]]))[0]
-    assert np.allclose(dist[:2], 0.0, atol=1e-15)
-    assert abs(abs(dist[2]) - 1.0 / math.sqrt(2.0)) <= 1e-12
+    subsets = np.array([[0, 1]])
+    sides = geo.signed_distances(coords, subsets)
+    assert sides.dtype == np.int8 and sides.shape == (1, 3)
+    assert sides[0, :2].tolist() == [0, 0]
+    assert np.array_equal(sides, exact_orientations(coords, subsets))
 
 
 def test_hyperplane_d1():
     coords = np.array([[-2.5], [1.0]])
-    dist = geo.signed_distances(coords, np.array([[0], [1]]))
-    assert np.allclose(np.abs(dist), [[0.0, 3.5], [3.5, 0.0]], atol=1e-15)
+    subsets = np.array([[0], [1]])
+    sides = geo.signed_distances(coords, subsets)
+    assert sides.tolist() == [[0, -1], [1, 0]]
+    assert np.array_equal(sides, exact_orientations(coords, subsets))
 
 
 def test_hyperplane_contains_defining_points():
     subset = [1, 3, 4, 6]
+    outside = [0, 2, 5, 7]
     for seed in range(20):
         ps = gauss(seed, 8, 4)
-        dist = geo.signed_distances(ps.coords, np.array([subset]))[0]
-        scale = np.abs(ps.coords).max()
-        assert np.max(np.abs(dist[subset])) <= 1e-9 * scale
-        # the other points sit at their distance along the SVD unit normal
+        sides = geo.signed_distances(ps.coords, np.array([subset]))[0]
+        assert np.all(sides[subset] == 0)
+        # the other points take the sides of the SVD unit normal, up to the
+        # one sign of the subset
         pts = ps.coords[subset]
         normal = np.linalg.svd(pts[1:] - pts[0])[2][-1]
-        want = np.abs((ps.coords - pts[0]) @ normal)
-        assert np.allclose(np.abs(dist), want, rtol=1e-9, atol=1e-9 * scale)
+        want = np.sign((ps.coords[outside] - pts[0]) @ normal)
+        assert np.array_equal(sides[outside], want) \
+            or np.array_equal(sides[outside], -want)
 
 
 def test_hyperplane_degenerate_subset():
@@ -113,18 +119,6 @@ def test_hyperplane_degenerate_subset():
     with pytest.raises(geo.DegenerateSubsetError) as err:
         geo.signed_distances(ps.coords, np.array([[0, 1, 2]]))
     assert err.value.subset == (0, 1, 2)
-
-
-def test_offset_squared_is_chi_square_over_d():
-    # d * rho^2, rho the distance of the origin to the hull of d Gaussian
-    # points, has chi^2_1 moments
-    d, trials = 3, 100_000
-    pts = stream(123, 0).standard_normal((trials, d, d))
-    block = np.concatenate([pts, np.zeros((trials, 1, d))], axis=1)
-    rho = geo.signed_distances(block, np.array([[0, 1, 2]]))[:, 0, d]
-    vals = d * rho ** 2
-    se = vals.std() / math.sqrt(trials)
-    assert abs(vals.mean() - 1.0) <= 3 * se
 
 
 # -------------------------------------------------------------- side counts
@@ -170,12 +164,10 @@ def test_signed_distances_block_matches_point_sets():
     # (the midpoint of 0 and 1), which the anchored solve does not notice
     block[2, 1] = -block[2, 0]
     for coords in (block[[0, 1, 3, 4]], block):
-        dist = geo.signed_distances(coords, subsets)
-        assert dist.shape == (len(coords), len(subsets), 6)
-        for got, pts in zip(dist, coords):
-            want = geo.signed_distances(pts, subsets)
-            assert np.allclose(np.abs(got), np.abs(want), rtol=1e-12,
-                               atol=1e-12)
+        sides = geo.signed_distances(coords, subsets)
+        assert sides.shape == (len(coords), len(subsets), 6)
+        for got, pts in zip(sides, coords):
+            assert np.array_equal(got, geo.signed_distances(pts, subsets))
 
 
 def dyadic(points):
@@ -538,26 +530,39 @@ def test_hull_through_anchor_names_the_anchor():
 def exact_orientations(coords, subsets):
     """Sign of det [x_s1, 1; ...; x_sd, 1; x_j, 1] for every subset s and
     point j outside it (0 on its own points), in exact rational arithmetic:
-    each float coordinate is the dyadic rational it stores."""
+    each float coordinate is the dyadic rational it stores. Each set of
+    points is eliminated once, in sorted order; the rows in the order s
+    then j differ from it by one sign per inversion."""
     lifted = [[Fraction(float(v)) for v in row] + [Fraction(1)]
               for row in coords]
+    sorted_signs = {}
     signs = np.zeros((len(subsets), len(coords)), dtype=int)
     for i, s in enumerate(subsets):
         for j in set(range(len(coords))) - set(s):
-            m = [list(lifted[k]) for k in s] + [list(lifted[j])]
-            det = Fraction(1)
-            for c in range(len(m)):  # Gaussian elimination
-                p = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
-                if p is None:
-                    det = Fraction(0)
-                    break
-                m[c], m[p] = m[p], m[c]
-                det *= m[c][c] if p == c else -m[c][c]
-                for r in range(c + 1, len(m)):
-                    f = m[r][c] / m[c][c]
-                    m[r] = [a - f * b for a, b in zip(m[r], m[c])]
-            signs[i, j] = (det > 0) - (det < 0)
+            rows = [int(k) for k in s] + [j]
+            key = tuple(sorted(rows))
+            if key not in sorted_signs:
+                sorted_signs[key] = fraction_det_sign(
+                    [list(lifted[k]) for k in key])
+            inversions = sum(a > b for a, b in itertools.combinations(rows, 2))
+            signs[i, j] = sorted_signs[key] * (-1) ** inversions
     return signs
+
+
+def fraction_det_sign(m):
+    """Sign of the determinant of the rational rows m, by Gaussian
+    elimination."""
+    det = Fraction(1)
+    for c in range(len(m)):
+        p = next((r for r in range(c, len(m)) if m[r][c] != 0), None)
+        if p is None:
+            return 0
+        m[c], m[p] = m[p], m[c]
+        det *= m[c][c] if p == c else -m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [a - f * b for a, b in zip(m[r], m[c])]
+    return (det > 0) - (det < 0)
 
 
 def contract_error(coords, subsets):
@@ -623,12 +628,14 @@ def test_one_subset_call_sees_a_dependent_subset():
 def test_point_near_a_hyperplane_counts_by_its_orientation():
     # trial 62 of estranged mc --d 7 --seed 994914863: point 9 lies 1.7e-9
     # from the hyperplane of this subset, yet its orientation determinant
-    # is sure of its sign, and the distance has that sign
+    # is sure of its sign, and its side is that sign
     coords = stream(994914863, 62).standard_normal((14, 7))
     subset = np.array([[0, 2, 5, 7, 8, 12, 13]])
-    dist = geo.signed_distances(coords, subset)[0]
-    assert 0 < abs(dist[9]) < 1e-8
-    assert np.array_equal(np.sign(dist), exact_orientations(coords, subset)[0])
+    pts = coords[subset[0]]
+    normal = np.linalg.svd(pts[1:] - pts[0])[2][-1]
+    assert 0 < abs((coords[9] - pts[0]) @ normal) < 1e-8
+    sides = geo.signed_distances(coords, subset)[0]
+    assert np.array_equal(sides, exact_orientations(coords, subset)[0])
     profile = geo.profile_counts(coords)
     mask = geo.facet_mask(coords, geo.subset_array(14, 7))
     assert profile.sum() == 2 * math.comb(14, 7)  # n - d odd: none balanced
@@ -671,6 +678,60 @@ def near_degenerate(d, n, seed, kind, exponent):
     else:
         coords[others[0]] = rng.dirichlet(np.ones(d)) @ coords[subset]
     return coords, subset
+
+
+def count_svd_rows(monkeypatch):
+    """The point tuples every ``_edge_sv`` call receives, in call order."""
+    seen = []
+    edge_sv = geo._edge_sv
+
+    def counting(pts):
+        seen.append(np.array(pts))
+        return edge_sv(pts)
+
+    monkeypatch.setattr(geo, "_edge_sv", counting)
+    return seen
+
+
+def uncovered_subsets(coords, subsets):
+    """The subsets of one point set in no (d+1)-set the screen clears."""
+    n, d = coords.shape
+    sets, index, _ = geo._orientation_table(n, d, subsets.tobytes())
+    _, _, clear = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
+                                 coordinate_scale(coords))
+    return subsets[~clear[index].any(axis=1)]
+
+
+def test_only_uncovered_subsets_reach_the_svd(monkeypatch):
+    # a point pushed 1e-16 * scale from a hyperplane leaves one determinant
+    # unsure, so the point set takes the contract path, yet a cleared set
+    # covers every subset: none reaches the SVD, and the counts follow the
+    # exact signs
+    coords, _ = near_degenerate(6, 12, 0, "push", 16)
+    subsets = geo.subset_array(12, 6)
+    sets, _, _ = geo._orientation_table(12, 6, subsets.tobytes())
+    _, sure, _ = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
+                                coordinate_scale(coords))
+    assert not sure.all() and len(uncovered_subsets(coords, subsets)) == 0
+    seen = count_svd_rows(monkeypatch)
+    profile = geo.profile_counts(coords, subsets)
+    assert sum(len(pts) for pts in seen) == 0
+    want, signs = contract_error(coords, subsets)
+    assert want is None
+    assert np.array_equal(profile, exact_counts(signs, 6)[0])
+    # on the short edge only (0, 1) lies in no cleared set: it alone
+    # reaches the SVD, and it raises what the contract names
+    coords = gauss(1, 6, 2).coords.copy()
+    coords[1] = coords[0] + [1e-13, 0.0]
+    subsets = geo.subset_array(6, 2)
+    rest = uncovered_subsets(coords, subsets)
+    assert rest.tolist() == [[0, 1]]
+    seen.clear()
+    with pytest.raises(geo.DegenerateSubsetError) as err:
+        geo.profile_counts(coords, subsets)
+    assert len(seen) == 1 and np.array_equal(seen[0], coords[rest])
+    want, _ = contract_error(coords, subsets)
+    assert type(err.value) is type(want) and vars(err.value) == vars(want)
 
 
 KINDS = st.sampled_from(["push", "short", "origin", "anchor"])

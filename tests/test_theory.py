@@ -55,6 +55,33 @@ def test_kfacet_probability_simplex_is_one():
         assert abs(th.kfacet_probability_exact(d + 1, d, 0) - 1.0) <= 1e-11
 
 
+def test_kfacet_probability_outside_its_error_band_raises(monkeypatch):
+    # at n = 2, d = 1 the quadrature gives p an ulp past 1, well inside its
+    # error estimate, and the clamp returns 1; a value past the estimate is
+    # a fault of the quadrature and raises
+    for d in (1, 2, 3):
+        assert th.kfacet_probability_exact(d + 1, d, 0) == 1.0
+    quad = mc.integrate_1d
+
+    def inflated(by):
+        def integrate(f, a, b, rel_tol):
+            res = quad(f, a, b, rel_tol)
+            return mc.QuadratureResult(res.value + by(res),
+                                       res.abs_error_estimate,
+                                       res.evaluations)
+        return integrate
+
+    monkeypatch.setattr(th, "integrate_1d",
+                        inflated(lambda res: 0.5 * res.abs_error_estimate))
+    assert th.kfacet_probability_exact(2, 1, 0) == 1.0
+    monkeypatch.setattr(th, "integrate_1d",
+                        inflated(lambda res: 1e-6 * res.value))
+    with pytest.raises(mc.QuadratureError) as err:
+        th.kfacet_probability_exact(2, 1, 0)
+    assert err.value.value > 1.0 + err.value.abs_error_estimate > 1.0
+    assert err.value.evaluations > 0
+
+
 def test_kfacet_expectation_anchors():
     assert abs(th.kfacet_expectation_exact(3, 1, 0) - 2.0) <= 1e-9
     assert abs(th.kfacet_expectation_exact(3, 1, 1) - 1.0) <= 1e-9
