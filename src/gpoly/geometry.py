@@ -8,23 +8,22 @@ k-facet (exactly k points on one side). Facets of the convex hull are the
 Enumeration is brute force over all C(n, d) subsets, on blocks of point
 sets: profiles, facet masks and the Monte Carlo kernels all count sides
 through ``_side_table``, and a single point set is the block with T = 1.
-``disjoint_pairs`` is the one test of which subsets share no point.
+Every side comes from ``signed_distances``: the sign of the orientation
+determinant over S u {j} for point j and subset S. ``disjoint_pairs`` is
+the one test of which subsets share no point.
 
 One degeneracy contract: a (d+1)-set is degenerate when one of its
 d-subsets fails the rule of ``mathcore.degenerate`` or its exact
 orientation is zero. ``general_position_check`` reports such sets, and the
 enumeration raises on them, naming the point set's row, rather than
-tie-break, since Gaussian inputs reach them with probability zero. The
-side of point j relative to subset S is the sign of the orientation
-determinant over S u {j}, from ``mathcore.signed_volumes`` where it is
-sure; a point set with an unsure sign, or a subset no cleared (d+1)-set
-covers, takes its sides, signs only, from ``signed_distances``.
+tie-break, since Gaussian inputs reach them with probability zero.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +106,6 @@ def subset_array(n: int, d: int) -> np.ndarray:
     return np.array(combos, dtype=np.intp).reshape(len(combos), d)
 
 
-def _outside(n: int, subsets: np.ndarray) -> np.ndarray:
-    """(c, n) mask of the points outside each subset."""
-    outside = np.ones(len(subsets) * n, dtype=bool)
-    outside[(subsets + n * np.arange(len(subsets))[:, None]).ravel()] = False
-    return outside.reshape(-1, n)
-
-
 def _edge_sv(pts: np.ndarray) -> np.ndarray:
     """Singular values of the edges from the first point of each tuple of
     points (..., k, d), for the rule of ``degenerate``."""
@@ -124,55 +116,71 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """Sides of every point relative to every subset's hyperplane, int8
     (c, n) for coordinates (n, d) and (T, c, n) for a block: -1 or +1
     outside the subset and 0 on its own points, by the degeneracy contract.
+    Every side count of the enumeration comes from here.
 
     Point j and subset S take the sign of det [x_s, 1; x_j, 1], S then j:
     from ``signed_volumes`` where it is sure, else ``orientation_signs``.
-    Point set by point set, the first subset that fails the rule of
+    A point set with an unsure sign, or a subset that no cleared (d+1)-set
+    covers, takes the contract: the first subset that fails the rule of
     ``degenerate`` raises DegenerateSubsetError, then the first (subset,
     point) with a zero orientation raises DegeneracyError, each naming the
-    point set's row. The rule's SVD runs only on the subsets that no
-    cleared (d+1)-set covers: the screen's bound passes the others.
+    point set's row. The rule's SVD runs only on the uncovered subsets: the
+    screen's bound passes the others.
     """
     block = _as_block(coords)
     t, n, d = block.shape
-    sets, index, flip = _orientation_table(
-        n, d, np.ascontiguousarray(subsets, dtype=np.intp).tobytes())
-    dets, sure, clear = _set_volumes(block, sets)
-    covered = _covered(clear, index)
+    subsets = np.ascontiguousarray(subsets, dtype=np.intp)
+    if subsets.ndim != 2 or subsets.shape[1] != d:
+        raise ValueError(f"subsets must be a 2-D array of width d = {d}, "
+                         f"not of shape {subsets.shape}")
+    sets, index, flip, outside = _orientation_table(n, d, subsets.tobytes())
     scale = coordinate_scale(block)
-    for r in np.flatnonzero(~covered.all(axis=1) | ~sure.all(axis=1)):
-        rest = np.flatnonzero(~covered[r])
+    parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
+                            - np.take(block, part[:, :1], axis=1),
+                            scale[:, None])
+             for part in np.split(sets, range(_BLOCK, len(sets), _BLOCK))]
+    dets, sure, clear = (np.concatenate(p, axis=1) for p in zip(*parts))
+    # with every set cleared, every subset is covered unless it has no set
+    for r in np.flatnonzero(~clear.all(axis=1) | (n == d)):
+        covered = np.take(clear[r], index).any(axis=1)
+        if covered.all() and sure[r].all():
+            continue
+        rest = np.flatnonzero(~covered)
         for part in np.split(rest, range(_BLOCK, len(rest), _BLOCK)):
             bad = degenerate(_edge_sv(block[r, subsets[part]]), scale[r])
             if bad.any():
                 raise DegenerateSubsetError(subsets[part[np.argmax(bad)]], r)
         unsure = np.flatnonzero(~sure[r])  # take the exact sign of det E
         dets[r, unsure] = (-1) ** d * orientation_signs(block[r, sets[unsure]])
-        if np.any(dets[r, index] == 0):
-            i, k = np.argwhere(dets[r, index] == 0)[0]
-            raise DegeneracyError(subsets[i], np.delete(
-                np.arange(n), subsets[i])[k], r)
+        zero = outside[np.take(dets[r], index).ravel() == 0]
+        if zero.size:
+            raise DegeneracyError(subsets[zero[0] // n], zero[0] % n, r)
+    neg = (np.take(dets < 0, index, axis=1) ^ flip).view(np.int8)
     sides = np.zeros((t, len(subsets), n), dtype=np.int8)
-    sides[:, _outside(n, subsets)] = np.where(
-        (dets[:, index] < 0) ^ flip, -1, 1).reshape(t, -1)
+    sides.reshape(t, -1)[:, outside] = np.subtract(
+        1, 2 * neg, dtype=np.int8).reshape(t, -1)
     return sides if np.ndim(coords) == 3 else sides[0]
-
-
-def _covered(clear: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """(T, c): True where a (d+1)-set that ``clear`` clears holds the subset."""
-    return clear[:, index].any(axis=2)
 
 
 @functools.lru_cache(maxsize=8)
 def _orientation_table(n: int, d: int, key: bytes):
-    """(sets, index, flip) for the subset list with bytes ``key``: the
-    distinct sorted (d+1)-sets S u {j}, j outside S, in rows of sets; the
-    row of S u {j} in index[S, j]; and flip[S, j], True where an odd number
+    """(sets, index, flip, outside) for the subset list with bytes ``key``:
+    the distinct sorted (d+1)-sets S u {j}, j outside S, in rows of sets;
+    the row of S u {j} in index[S, j]; flip[S, j], True where an odd number
     of points of S lie below j, so that the orientation of S then j is the
-    determinant over S u {j}, negated where flip, up to a sign per S."""
+    determinant over S u {j}, negated where flip, up to a sign per S; and
+    the flat positions of the (S, j) in a (c, n) array. An entry outside
+    range(n), or a point twice in a subset, raises ValueError."""
     subsets = np.frombuffer(key, dtype=np.intp).reshape(-1, d)
     c = len(subsets)
-    points = np.nonzero(_outside(n, subsets))[1].reshape(c, n - d)
+    if np.any((subsets < 0) | (subsets >= n)):
+        raise ValueError(f"subset entries must lie in [0, {n})")
+    if np.any(np.diff(np.sort(subsets, axis=1), axis=1) == 0):
+        raise ValueError("a subset repeats a point")
+    mask = np.ones((c, n), dtype=bool)
+    mask[np.arange(c)[:, None], subsets] = False
+    outside = np.flatnonzero(mask)
+    points = (outside % n).reshape(c, n - d)
     sets = np.sort(np.concatenate(
         [np.broadcast_to(subsets[:, None], (c, n - d, d)), points[..., None]],
         axis=2), axis=2).reshape(-1, d + 1)
@@ -183,59 +191,34 @@ def _orientation_table(n: int, d: int, key: bytes):
     index = np.empty(len(sets), dtype=np.intp)
     index[order] = np.cumsum(first) - 1
     flip = (subsets[:, None] < points[..., None]).sum(axis=2) % 2 == 1
-    return sets[first], index.reshape(c, n - d), flip
-
-
-def _set_volumes(block: np.ndarray, sets: np.ndarray):
-    """``signed_volumes`` of the edges of every (d+1)-set in ``sets`` in
-    every point set of a (T, n, d) block, each (T, m), over chunks of at
-    most _BLOCK sets."""
-    scale = coordinate_scale(block)[:, None]
-    parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
-                            - np.take(block, part[:, :1], axis=1), scale)
-             for part in np.split(sets, range(_BLOCK, len(sets), _BLOCK))]
-    return (np.concatenate(p, axis=1) for p in zip(*parts))
+    return sets[first], index.reshape(c, n - d), flip, outside
 
 
 def _side_table(coords: np.ndarray, subsets: np.ndarray):
     """Side counts of every subset in every point set of a (T, n, d) block.
 
-    Yields (rows, cols, below), slices and a table: below[t, j] counts the
-    points outside subset subsets[cols][j] strictly below its hyperplane in
-    point set coords[rows][t]; the other n - d - below lie strictly above.
-    The signs come from ``signed_volumes``, one determinant per (d+1)-set
-    of the list, shared by every subset in it. Each numpy call covers at
-    most _BLOCK (point set, subset or set) pairs: max(1, _BLOCK // max(c,
-    m)) point sets at a time, m sets, and chunks of sets and of subsets
-    past _BLOCK. A point set with an unsure sign or a subset no cleared set
-    covers (``_covered``) takes the sides of ``signed_distances``, over the
-    whole list in order, so it raises what a call per point set would.
+    Yields (rows, below), a slice and a table: below[t, j] counts the points
+    outside subset subsets[j] strictly below its hyperplane in point set
+    coords[rows][t]; the other n - d - below lie strictly above. The sides
+    come from ``signed_distances``, one call per chunk of max(1, _BLOCK //
+    max(c, m)) point sets, so that each numpy call covers at most _BLOCK
+    (point set, subset or set) pairs, for c subsets in m <= min(c (n - d),
+    C(n, d + 1)) distinct (d+1)-sets; the bound is m for the full list and
+    for disjoint subsets. An error names the row of the block.
     """
     t, n, d = coords.shape
     c = len(subsets)
-    sets, index, flip = _orientation_table(
-        n, d, np.ascontiguousarray(subsets, dtype=np.intp).tobytes())
-    step = max(1, _BLOCK // max(1, c, len(sets)))
+    m = min(c * (n - d), math.comb(n, d + 1))
+    step = max(1, _BLOCK // max(1, c, m))
     for lo in range(0, t, step):
-        block = coords[lo:lo + step]
-        dets, sure, clear = _set_volumes(block, sets)
-        decided = sure.all(axis=1)
-        # every subset needs one cleared set; look where one is missed
-        doubt = np.flatnonzero(decided & ~(clear.all(axis=1) & (n > d)))
-        decided[doubt] = _covered(clear[doubt], index).all(axis=1)
-        rest = np.flatnonzero(~decided)
-        if rest.size:
-            try:
-                sides = signed_distances(block[rest], subsets)
-            except (DegenerateSubsetError, DegeneracyError) as err:
-                err.row = lo + int(rest[err.row])
-                raise
-        for s0 in range(0, c, _BLOCK):
-            rows, cols = slice(lo, lo + step), slice(s0, s0 + _BLOCK)
-            below = ((dets < 0)[:, index[cols]] ^ flip[cols]).sum(axis=2)
-            if rest.size:
-                below[rest] = (sides[:, cols] < 0).sum(axis=2)
-            yield rows, cols, below
+        try:
+            sides = signed_distances(coords[lo:lo + step], subsets)
+        except (DegenerateSubsetError, DegeneracyError) as err:
+            err.row += lo
+            raise
+        # einsum counts along the short last axis in half the time of sum
+        yield slice(lo, lo + step), np.einsum("tcn->tc", sides < 0,
+                                              dtype=np.intp)
 
 
 def profile_counts(coords: np.ndarray, subsets: np.ndarray | None = None) -> np.ndarray:
@@ -252,7 +235,7 @@ def profile_counts(coords: np.ndarray, subsets: np.ndarray | None = None) -> np.
         subsets = subset_array(n, d)
     m = n - d
     hist = np.zeros((t, m + 1), dtype=np.int64)  # subsets per below count
-    for rows, _, below in _side_table(block, subsets):
+    for rows, below in _side_table(block, subsets):
         shift = np.arange(len(below))[:, None] * (m + 1)
         hist[rows] += np.bincount((below + shift).ravel(),
                                   minlength=len(below) * (m + 1)
@@ -277,10 +260,10 @@ def facet_mask(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     One row per point set for a (T, n, d) block.
     """
     block = _as_block(coords)
-    m = block.shape[1] - subsets.shape[1]
+    m = block.shape[1] - block.shape[2]
     mask = np.empty((len(block), len(subsets)), dtype=bool)
-    for rows, cols, below in _side_table(block, subsets):
-        mask[rows, cols] = (below == 0) | (below == m)
+    for rows, below in _side_table(block, subsets):
+        mask[rows] = (below == 0) | (below == m)
     return mask if np.ndim(coords) == 3 else mask[0]
 
 

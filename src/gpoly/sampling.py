@@ -198,7 +198,8 @@ class PointSet:
     def from_coords(cls, coords) -> "PointSet":
         """A point set of external coordinates, one point per row."""
         coords = np.asarray(coords, dtype=float)
-        return cls(n=coords.shape[0], d=coords.shape[1], coords=coords)
+        n, d = coords.shape if coords.ndim == 2 else (0, 0)
+        return cls(n=n, d=d, coords=coords)
 
     def write_csv(self, fh) -> None:
         """Write `x1,...,xd` CSV at 17 significant digits (exact round-trip)."""

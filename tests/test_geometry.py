@@ -127,7 +127,7 @@ def side_split(coords, subset):
     """(below, above) of one subset from the block side table, T = 1."""
     coords = np.asarray(coords, dtype=float)
     subsets = np.array([subset], dtype=np.intp)
-    [(_, _, below)] = geo._side_table(coords[None], subsets)
+    [(_, below)] = geo._side_table(coords[None], subsets)
     b = int(below[0, 0])
     return b, coords.shape[0] - len(subset) - b
 
@@ -241,13 +241,13 @@ def test_block_counts_match_point_sets():
 
 
 def test_side_table_subset_chunks(monkeypatch):
-    # with fewer pairs per call than subsets, subsets come in chunks and
-    # point sets one at a time; counts must not change
+    # with fewer pairs per call than subsets, point sets come one at a
+    # time, each with the whole subset list; counts must not change
     block = np.stack([gauss(seed, 9, 3).coords for seed in range(3)])
     want = geo.profile_counts(block)
     monkeypatch.setattr(geo, "_BLOCK", 10)
     pieces = list(geo._side_table(block, geo.subset_array(9, 3)))
-    assert len(pieces) == 3 * 9
+    assert len(pieces) == 3
     assert np.array_equal(geo.profile_counts(block), want)
 
 
@@ -282,6 +282,25 @@ def test_empty_subset_list():
     assert np.array_equal(geo.profile_counts(block, empty), np.zeros((3, 5)))
     assert geo.facet_mask(block, empty).shape == (3, 0)
     assert geo.facet_mask(block[0], empty).shape == (0,)
+
+
+@pytest.mark.parametrize("n, subsets, fault", [
+    (5, [[0, 1, 2], [1, 2, 3]], "width d = 2"),
+    (5, [[0], [1]], "width d = 2"),
+    (5, [0, 1], "width d = 2"),
+    (6, [[1, 2], [-2, 0], [3, 5]], r"lie in \[0, 6\)"),
+    (6, [[1, 2], [0, 6]], r"lie in \[0, 6\)"),
+    (6, [[1, 2], [0, 0], [3, 5]], "repeats a point"),
+])
+@pytest.mark.parametrize("fn", [geo.profile_counts, geo.facet_mask,
+                                geo.signed_distances])
+def test_malformed_subset_list_raises(fn, n, subsets, fault):
+    # a list of the wrong width, an entry outside range(n) or a repeated
+    # point is named, never counted or taken for a degeneracy
+    coords = stream(3, 0).standard_normal((n, 2))
+    with pytest.raises(ValueError, match=fault) as err:
+        fn(coords, subsets)
+    assert type(err.value) is ValueError
 
 
 def test_profile_sum_identity_odd():
@@ -642,7 +661,7 @@ def test_point_near_a_hyperplane_counts_by_its_orientation():
     assert mask.sum() == profile[0]
     # the static test leaves one of these determinants unsure; the sure
     # ones have the exact sign, and the exact helper decides the other
-    sets, index, flip = geo._orientation_table(14, 7, subset.tobytes())
+    sets, index, flip, _ = geo._orientation_table(14, 7, subset.tobytes())
     dets, sure, _ = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
                                    coordinate_scale(coords))
     sure = sure[index[0]]
@@ -696,7 +715,7 @@ def count_svd_rows(monkeypatch):
 def uncovered_subsets(coords, subsets):
     """The subsets of one point set in no (d+1)-set the screen clears."""
     n, d = coords.shape
-    sets, index, _ = geo._orientation_table(n, d, subsets.tobytes())
+    sets, index, _, _ = geo._orientation_table(n, d, subsets.tobytes())
     _, _, clear = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
                                  coordinate_scale(coords))
     return subsets[~clear[index].any(axis=1)]
@@ -709,7 +728,7 @@ def test_only_uncovered_subsets_reach_the_svd(monkeypatch):
     # exact signs
     coords, _ = near_degenerate(6, 12, 0, "push", 16)
     subsets = geo.subset_array(12, 6)
-    sets, _, _ = geo._orientation_table(12, 6, subsets.tobytes())
+    sets, _, _, _ = geo._orientation_table(12, 6, subsets.tobytes())
     _, sure, _ = signed_volumes(coords[sets[:, 1:]] - coords[sets[:, :1]],
                                 coordinate_scale(coords))
     assert not sure.all() and len(uncovered_subsets(coords, subsets)) == 0

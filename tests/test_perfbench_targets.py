@@ -44,6 +44,31 @@ def test_subsets_stay_where_the_traced_run_reads_them():
     assert names == ["coords", "subsets"]
 
 
+def test_every_side_count_passes_the_traced_layer(monkeypatch):
+    # the tracer wraps geometry.signed_distances by name, so the enumeration
+    # must look it up there for each row chunk, ordinary point sets included
+    calls = []
+    sides = geometry.signed_distances
+
+    def counting(coords, subsets):
+        calls.append(len(coords))
+        return sides(coords, subsets)
+
+    monkeypatch.setattr(geometry, "signed_distances", counting)
+    monkeypatch.setattr(geometry, "_BLOCK", 300)  # 126 sets: 2 rows a chunk
+    block = stream(5, 0).standard_normal((5, 9, 3))
+    subsets = geometry.subset_array(9, 3)
+    geometry.profile_counts(block, subsets)
+    assert calls == [2, 2, 1]
+    calls.clear()
+    geometry.facet_mask(block, subsets)
+    assert calls == [2, 2, 1]
+    calls.clear()
+    # one subset in 4 sets: 75 rows per chunk of the 512 and 88-row blocks
+    experiments.fixed_subset_kfacet_probability_mc(8, 4, 1, 600, 3)
+    assert calls == [75] * 6 + [62] + [75, 13]
+
+
 @pytest.mark.parametrize("fn", [experiments.mc_run,
                                 experiments.mc_run_vector])
 def test_row_shape_is_required_and_keyword_only(fn):

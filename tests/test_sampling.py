@@ -229,6 +229,11 @@ def test_point_set_immutable_and_validated():
         sp.PointSet.from_coords([[np.inf, 0.0]])
     with pytest.raises(ValueError):
         sp.PointSet(n=3, d=2, coords=np.zeros((2, 2)))
+    # 1-D, 0-D and empty input, as a d = 1 CSV reads back with np.loadtxt
+    for coords in ([1.0, 2.0], 3.0, [], np.loadtxt(["x1", "0.5", "1.5"],
+                                                  skiprows=1)):
+        with pytest.raises(ValueError, match="coords must be a 2-D array"):
+            sp.PointSet.from_coords(coords)
 
 
 def test_point_set_csv_round_trip(tmp_path):
