@@ -39,7 +39,7 @@ from .sampling import gaussian_point_set, stream
 _VERIFY_SUITES = ("all", "blaschke", "simplex", "truncated", "logconcave",
                   "dotdensity", "lp", "thm32")
 
-_REDUCTION_CASES = ((2, 5, 0), (2, 5, 1), (3, 6, 0), (4, 8, 2))
+_REDUCTION_CASES = ((5, 2, 0), (5, 2, 1), (6, 3, 0), (8, 4, 2))  # (n, d, k)
 
 _WORKERS_HELP = ("accepted for compatibility and ignored: Monte Carlo runs "
                  "are single-threaded")
@@ -272,17 +272,17 @@ def cmd_estranged(args) -> Output:
 
 def _suite_checks(suite: str, seed: int, trials: int):
     checks = []
+    if suite in ("all", "blaschke", "simplex"):
+        # each pair of Gaussian reports comes from one run
+        gaussian = [experiments.verify_gaussian_simplex(d, trials, seed)
+                    for d in range(1, 6 if suite == "blaschke" else 7)]
     if suite in ("all", "blaschke"):
-        for d in (1, 2, 3, 4, 5):
-            checks.append(experiments.verify_blaschke(
-                d, trials, seed, "gaussian"))
+        checks += [blaschke for blaschke, _ in gaussian[:5]]
         for d in (2, 3):
             checks.append(experiments.verify_blaschke(
                 d, trials, seed + 1, "uniform-cube"))
     if suite in ("all", "simplex"):
-        for d in (1, 2, 3, 4, 5, 6):
-            checks.append(experiments.verify_simplex_volume(
-                d, trials, seed))
+        checks += [volume for _, volume in gaussian]
     if suite in ("all", "truncated"):
         for d in (3, 4, 5, 6, 7, 8):
             for t in (0.0, 0.5, 2.0):
@@ -299,9 +299,8 @@ def _suite_checks(suite: str, seed: int, trials: int):
     if suite in ("all", "lp"):
         checks.append(experiments.verify_lp_limit())
     if suite in ("all", "thm32"):
-        for d, n, k in _REDUCTION_CASES:
-            checks.append(experiments.verify_kfacet_reduction(
-                n, d, k, trials, 10 * trials, seed))
+        checks += experiments.verify_kfacet_reductions(
+            _REDUCTION_CASES, trials, 10 * trials, seed)
     return checks
 
 

@@ -204,7 +204,14 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
     if math.comb(n, d) > SUBSET_CAP:
         raise ResourceCapError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
                                f"the subset cap {SUBSET_CAP}")
-    subsets = geometry.subset_array(n, d)
+    return _profile_mc(n, geometry.subset_array(n, d), trials, master_seed)
+
+
+def _profile_mc(n: int, subsets: np.ndarray, trials: int,
+                master_seed: int) -> list[MCEstimate]:
+    """Mean k-facet counts over ``subsets`` of n Gaussian points, k = 0, ...,
+    n - d."""
+    d = subsets.shape[1]
     return mc_run_vector(_fill_normal, n - d + 1, trials, master_seed,
                          lambda x: geometry.profile_counts(x, subsets),
                          row_shape=(n, d))
@@ -219,10 +226,8 @@ def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
     subset cap applies.
     """
     theory._check_kfacet_inputs(n, d, k)
-    first = geometry.subset_array(d, d)
-    return mc_run(_fill_normal, trials, master_seed,
-                  lambda x: geometry.profile_counts(x, first)[:, k],
-                  row_shape=(n, d))
+    return _profile_mc(n, geometry.subset_array(d, d), trials,
+                       master_seed)[k]
 
 
 def reduced_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
@@ -243,16 +248,24 @@ def reduced_kfacet_profile_probability_mc(n: int, d: int, trials: int,
     the number of Y_i above Y is k or (n-d) - k.
     """
     theory._check_kfacet_inputs(n, d, 0)
-    m = n - d
-    inv_sqrt_d = 1.0 / math.sqrt(d)
+    return _reduced_profiles_mc(n - d, [d], trials, master_seed)[d]
+
+
+def _reduced_profiles_mc(m: int, ds, trials: int,
+                         master_seed: int) -> dict[int, list[MCEstimate]]:
+    """The reduced profile at n = m + d of each d in ``ds``, from one run on
+    shared rows: Y / sqrt(d), Y ~ N(0, 1), is the N(0, 1/d) draw of each."""
+    inv_sqrt_d = np.array([1.0 / math.sqrt(d) for d in ds])[:, None]
     ks = np.arange(m + 1)
 
     def kernel(z: np.ndarray) -> np.ndarray:
-        above = (z[:, 1:] > z[:, :1] * inv_sqrt_d).sum(axis=1)[:, None]
-        return (above == ks) | (above == m - ks)
+        above = (z[:, None, 1:] > z[:, None, :1] * inv_sqrt_d).sum(axis=2)
+        hit = (above[..., None] == ks) | (above[..., None] == m - ks)
+        return hit.reshape(len(z), -1)
 
-    return mc_run_vector(_fill_normal, m + 1, trials, master_seed, kernel,
-                         row_shape=(m + 1,))
+    ests = mc_run_vector(_fill_normal, len(ds) * (m + 1), trials,
+                         master_seed, kernel, row_shape=(m + 1,))
+    return {d: ests[j * (m + 1):(j + 1) * (m + 1)] for j, d in enumerate(ds)}
 
 
 def estranged_expectation_mc(d: int, trials: int,
@@ -306,32 +319,45 @@ def verify_blaschke(d: int, trials: int, master_seed: int,
     Checked as E[vol^2] against (d+1)/d! * det cov with det cov known in
     closed form (1 for standard Gaussian, 12^-d for the unit cube).
     """
-    if distribution == "gaussian":
-        det_cov = 1.0
-        draw = _fill_normal
-    elif distribution == "uniform-cube":
-        det_cov = 12.0 ** (-d)
-        draw = lambda s, row: s.uniform(out=row)
-    else:
-        raise ValueError(f"unknown distribution {distribution!r}")
-    target = (d + 1) / math.factorial(d) * det_cov
-
-    def kernel(points: np.ndarray) -> np.ndarray:
-        return simplex_volume(points) ** 2
-
-    est = mc_run(draw, trials, master_seed, kernel, row_shape=(d + 1, d))
-    return _z_report(f"blaschke[{distribution},d={d}]", target, est,
-                     {"det_cov": det_cov, "d": d,
-                      "distribution": distribution})
+    return _blaschke(d, trials, master_seed, distribution)[0]
 
 
 def verify_simplex_volume(d: int, trials: int,
                           master_seed: int) -> VerificationReport:
     """Mean volume of a Gaussian simplex against its closed form."""
+    return verify_gaussian_simplex(d, trials, master_seed)[1]
+
+
+def verify_gaussian_simplex(d: int, trials: int, master_seed: int
+                            ) -> tuple[VerificationReport, VerificationReport]:
+    """The Gaussian reports of verify_blaschke and verify_simplex_volume,
+    from one run on the same simplices."""
+    blaschke, vol = _blaschke(d, trials, master_seed, "gaussian")
     target = theory.gaussian_simplex_expected_volume(d).value
-    est = mc_run(_fill_normal, trials, master_seed, simplex_volume,
-                 row_shape=(d + 1, d))
-    return _z_report(f"simplex_volume[d={d}]", target, est, {"d": d})
+    return blaschke, _z_report(f"simplex_volume[d={d}]", target, vol,
+                               {"d": d})
+
+
+def _blaschke(d: int, trials: int, master_seed: int, distribution: str
+              ) -> tuple[VerificationReport, MCEstimate]:
+    """The Blaschke report and the mean volume, from one run."""
+    if distribution == "gaussian":
+        det_cov, draw = 1.0, _fill_normal
+    elif distribution == "uniform-cube":
+        det_cov, draw = 12.0 ** (-d), lambda s, row: s.uniform(out=row)
+    else:
+        raise ValueError(f"unknown distribution {distribution!r}")
+
+    def kernel(points: np.ndarray) -> np.ndarray:
+        vol = simplex_volume(points)
+        return np.stack((vol ** 2, vol), axis=1)
+
+    sq, vol = mc_run_vector(draw, 2, trials, master_seed, kernel,
+                            row_shape=(d + 1, d))
+    return _z_report(f"blaschke[{distribution},d={d}]",
+                     (d + 1) / math.factorial(d) * det_cov, sq,
+                     {"det_cov": det_cov, "d": d,
+                      "distribution": distribution}), vol
 
 
 def verify_truncated_bound(d: int, t: float, trials: int,
@@ -501,27 +527,40 @@ def growth_rows_to_csv(rows, fh) -> None:
 def verify_kfacet_reduction(n: int, d: int, k: int, trials_full: int,
                             trials_reduced: int,
                             master_seed: int) -> VerificationReport:
-    """Triangulate the per-subset k-facet probability three ways.
+    """The one-case call of verify_kfacet_reductions."""
+    return verify_kfacet_reductions([(n, d, k)], trials_full, trials_reduced,
+                                    master_seed)[0]
+
+
+def verify_kfacet_reductions(cases, trials_full: int, trials_reduced: int,
+                             master_seed: int) -> list[VerificationReport]:
+    """Triangulate the per-subset k-facet probability three ways, for each
+    (n, d, k) of ``cases`` in order.
 
     Exact quadrature, the full d-dimensional experiment, and the scalar
     reduced experiment must pairwise agree within 3 combined standard
-    errors.
+    errors. Cases share one full-leg run per (n, d) and one reduced run per
+    n - d, each reading its own columns.
     """
-    exact = theory.kfacet_probability_exact(n, d, k)
-    full = fixed_subset_kfacet_probability_mc(n, d, k, trials_full,
-                                              master_seed)
-    reduced = reduced_kfacet_probability_mc(n, d, k, trials_reduced,
-                                            master_seed)
-    z_full = (full.mean - exact) / full.std_error
-    z_reduced = (reduced.mean - exact) / reduced.std_error
-    se_pair = math.sqrt(full.std_error ** 2 + reduced.std_error ** 2)
-    z_pair = (full.mean - reduced.mean) / se_pair
-    zs = {"full_vs_exact": z_full, "reduced_vs_exact": z_reduced,
-          "full_vs_reduced": z_pair}
-    passed = all(abs(z) <= Z_THRESHOLD for z in zs.values())
-    worst = max(zs.values(), key=abs)
-    return VerificationReport(
-        name=f"kfacet_reduction[n={n},d={d},k={k}]", theory=exact,
-        estimate=full, z=worst, threshold=Z_THRESHOLD, passed=passed,
-        details={"n": n, "d": d, "k": k, **zs,
-                 "reduced_estimate": reduced.as_dict()})
+    exact = [theory.kfacet_probability_exact(n, d, k) for n, d, k in cases]
+    pairs = dict.fromkeys((n, d) for n, d, _ in cases)
+    full = {(n, d): _profile_mc(n, geometry.subset_array(d, d), trials_full,
+                                master_seed) for n, d in pairs}
+    reduced = {m: _reduced_profiles_mc(m, [d for n, d in pairs if n - d == m],
+                                       trials_reduced, master_seed)
+               for m in dict.fromkeys(n - d for n, d in pairs)}
+    reports = []
+    for (n, d, k), p in zip(cases, exact):
+        est, red = full[n, d][k], reduced[n - d][d][k]
+        se_pair = math.sqrt(est.std_error ** 2 + red.std_error ** 2)
+        zs = {"full_vs_exact": (est.mean - p) / est.std_error,
+              "reduced_vs_exact": (red.mean - p) / red.std_error,
+              "full_vs_reduced": (est.mean - red.mean) / se_pair}
+        reports.append(VerificationReport(
+            name=f"kfacet_reduction[n={n},d={d},k={k}]", theory=p,
+            estimate=est, z=max(zs.values(), key=abs),
+            threshold=Z_THRESHOLD,
+            passed=all(abs(z) <= Z_THRESHOLD for z in zs.values()),
+            details={"n": n, "d": d, "k": k, **zs,
+                     "reduced_estimate": red.as_dict()}))
+    return reports

@@ -100,6 +100,14 @@ def _as_block(coords) -> np.ndarray:
     return coords.reshape((-1,) + coords.shape[-2:])
 
 
+def _index_array(subsets) -> np.ndarray:
+    """A subset list as intp; floats and booleans are refused, not cast."""
+    subsets = np.asarray(subsets)
+    if subsets.size and subsets.dtype.kind not in "iu":
+        raise ValueError(f"subsets must hold integers, not {subsets.dtype}")
+    return np.ascontiguousarray(subsets, dtype=np.intp)
+
+
 def subset_array(n: int, d: int) -> np.ndarray:
     """All d-subsets of range(n) in lexicographic order, one per row."""
     combos = list(itertools.combinations(range(n), d))
@@ -129,7 +137,7 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """
     block = _as_block(coords)
     t, n, d = block.shape
-    subsets = np.ascontiguousarray(subsets, dtype=np.intp)
+    subsets = _index_array(subsets)
     if subsets.ndim != 2 or subsets.shape[1] != d:
         raise ValueError(f"subsets must be a 2-D array of width d = {d}, "
                          f"not of shape {subsets.shape}")
@@ -283,7 +291,7 @@ def disjoint_pairs(subsets) -> tuple[np.ndarray, np.ndarray]:
     rows after it in one matrix product, over blocks of at most _BLOCK
     pairs, so any number of points works.
     """
-    subsets = np.asarray(subsets, dtype=np.intp)
+    subsets = _index_array(subsets)
     c = len(subsets)
     inc = np.zeros((c, subsets.max(initial=-1) + 1))
     inc[np.arange(c)[:, None], subsets] = 1.0

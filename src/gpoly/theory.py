@@ -10,6 +10,7 @@ binomial factors could overflow.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -242,11 +243,16 @@ def dot_density(w, d: int):
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) > 1.0):
         raise ValueError("dot-product density has support [-1, 1]")
-    c = math.exp(log_gamma(d / 2.0) - log_gamma((d - 1) / 2.0)
-                 - 0.5 * math.log(math.pi))
     with np.errstate(divide="ignore"):
-        out = c * (1.0 - w * w) ** ((d - 3) / 2.0)
+        out = _dot_density_constant(d) * (1.0 - w * w) ** ((d - 3) / 2.0)
     return float(out) if out.ndim == 0 else out
+
+
+@functools.cache
+def _dot_density_constant(d: int) -> float:
+    """Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)), computed once per d."""
+    return math.exp(log_gamma(d / 2.0) - log_gamma((d - 1) / 2.0)
+                    - 0.5 * math.log(math.pi))
 
 
 class GaussianSimplexVolume(NamedTuple):

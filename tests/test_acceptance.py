@@ -66,10 +66,10 @@ def test_criterion_03_reduction_triangulation():
     t0 = time.perf_counter()
     worst = 0.0
     ok = True
-    for d, n, k in ((2, 5, 0), (2, 5, 1), (3, 6, 0), (4, 8, 2)):
-        rep = ex.verify_kfacet_reduction(n, d, k, trials_full=100_000,
-                                         trials_reduced=1_000_000,
-                                         master_seed=42)
+    cases = ((5, 2, 0), (5, 2, 1), (6, 3, 0), (8, 4, 2))  # (n, d, k)
+    for rep in ex.verify_kfacet_reductions(cases, trials_full=100_000,
+                                           trials_reduced=1_000_000,
+                                           master_seed=42):
         ok = ok and rep.passed
         worst = max(worst, *(abs(rep.details[key]) for key in
                              ("full_vs_exact", "reduced_vs_exact",
@@ -115,8 +115,8 @@ def test_criterion_06_blaschke_and_simplex_volume():
     ok = True
     worst_z = worst_rel = 0.0
     for d in range(1, 6):
-        for fn in (ex.verify_blaschke, ex.verify_simplex_volume):
-            rep = fn(d, trials=100_000, master_seed=42)
+        for rep in ex.verify_gaussian_simplex(d, trials=100_000,
+                                              master_seed=42):
             rel = abs(rep.estimate.mean / rep.theory - 1.0)
             ok = ok and rep.passed and rel <= 0.02
             worst_z = max(worst_z, abs(rep.z))

@@ -14,7 +14,7 @@ import pytest
 from gpoly import cli, experiments, theory
 from gpoly.mathcore import QuadratureError
 from gpoly.geometry import kfacet_profile
-from gpoly.sampling import PointSet, gaussian_point_set, stream
+from gpoly.sampling import PointSet, RngStream, gaussian_point_set, stream
 
 
 def run_cli(argv):
@@ -257,6 +257,23 @@ def test_verify_exit_1_on_a_failed_check(monkeypatch):
     assert err == "failed: lp_limit\n"
 
 
+def test_verify_draws_each_shared_stream_once(monkeypatch):
+    # the Gaussian Blaschke and mean-volume checks share one run per d, the
+    # thm32 full legs one run per (n, d) and the reduced legs one per n - d
+    plain = RngStream.reset
+    resets = []
+
+    def counting(self, master_seed, stream_id):
+        resets.append(stream_id)
+        return plain(self, master_seed, stream_id)
+
+    monkeypatch.setattr(RngStream, "reset", counting)
+    code, _, _ = run_cli(["verify", "--suite", "all", "--trials", "4096",
+                          "--seed", "7"])
+    assert code == 0
+    assert len(resets) == 170_390
+
+
 def test_verify_statistics_pinned():
     # captured from the per-trial Welford loop; the batched routine draws
     # the same numbers and may differ from it only by rounding
@@ -349,7 +366,8 @@ PARENT_STDOUT = json.loads((Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("command", sorted(PARENT_STDOUT))
 def test_stdout_matches_fixture(command):
     # captured when the enumeration ran per trial in the draw step and
-    # growth_base_kfacet re-ran the c_alpha_r maximizer
+    # growth_base_kfacet re-ran the c_alpha_r maximizer; the verify entries
+    # when each check ran its own Monte Carlo experiment
     code, out, _ = run_cli(command.split())
     assert code == 0
     assert out == PARENT_STDOUT[command]

@@ -6,6 +6,7 @@ import pytest
 from gpoly import experiments as ex
 from gpoly import geometry
 from gpoly import theory as th
+from gpoly.mathcore import simplex_volume
 from gpoly.sampling import RngStream, stream
 
 
@@ -314,6 +315,53 @@ def test_reduction_triangulation_small():
                                      trials_reduced=100_000, master_seed=13)
     assert rep.passed
     assert abs(rep.details["full_vs_exact"]) <= 3
+
+
+def test_grouped_reductions_match_stand_alone_runs():
+    # every case reads its columns of the shared runs: (5, 2) shares its
+    # full leg between k = 0 and 1, and m = 3 its reduced run between d = 2
+    # and 3; each estimate is bitwise that of the per-case scalar run
+    trials, seed = 2 * ex.CHUNK + 17, 21
+    cases = [(5, 2, 0), (5, 2, 1), (6, 3, 0), (8, 4, 2)]
+    grouped = ex.verify_kfacet_reductions(cases, trials, trials, seed)
+    assert [r.name for r in grouped] == \
+        [f"kfacet_reduction[n={n},d={d},k={k}]" for n, d, k in cases]
+    for rep, (n, d, k) in zip(grouped, cases):
+        assert rep.as_dict() == ex.verify_kfacet_reduction(
+            n, d, k, trials, trials, seed).as_dict()
+        first = geometry.subset_array(d, d)
+        full = ex.mc_run(ex._fill_normal, trials, seed,
+                         lambda x: geometry.profile_counts(x, first)[:, k],
+                         row_shape=(n, d))
+        assert rep.estimate.as_dict() == full.as_dict()
+        m = n - d
+
+        def reduced_kernel(z):
+            above = (z[:, 1:] > z[:, :1] * (1.0 / math.sqrt(d))).sum(axis=1)
+            return (above == k) | (above == m - k)
+
+        reduced = ex.mc_run(ex._fill_normal, trials, seed, reduced_kernel,
+                            row_shape=(m + 1,))
+        assert rep.details["reduced_estimate"] == reduced.as_dict()
+
+
+def test_gaussian_simplex_reports_match_stand_alone_runs():
+    # both reports come from one run; each estimate is bitwise that of its
+    # own width-1 run on the same rows
+    trials, seed = 2 * ex.CHUNK + 17, 22
+    for d in (1, 3):
+        blaschke, volume = ex.verify_gaussian_simplex(d, trials, seed)
+        assert blaschke.as_dict() == \
+            ex.verify_blaschke(d, trials, seed).as_dict()
+        assert volume.as_dict() == \
+            ex.verify_simplex_volume(d, trials, seed).as_dict()
+        square = ex.mc_run(ex._fill_normal, trials, seed,
+                           lambda x: simplex_volume(x) ** 2,
+                           row_shape=(d + 1, d))
+        plain = ex.mc_run(ex._fill_normal, trials, seed, simplex_volume,
+                          row_shape=(d + 1, d))
+        assert blaschke.estimate.as_dict() == square.as_dict()
+        assert volume.estimate.as_dict() == plain.as_dict()
 
 
 def test_subset_cap_enforced():

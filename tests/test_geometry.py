@@ -303,6 +303,17 @@ def test_malformed_subset_list_raises(fn, n, subsets, fault):
     assert type(err.value) is ValueError
 
 
+@pytest.mark.parametrize("subsets", [[[0.5, 1.7], [2, 3]], [[0.0, 1.0]],
+                                     [[True, False]]])
+@pytest.mark.parametrize("fn", [geo.profile_counts, geo.facet_mask,
+                                geo.signed_distances])
+def test_subset_list_of_floats_or_booleans_raises(fn, subsets):
+    # a cast to integers would truncate [0.5, 1.7] to [0, 1] and count it
+    coords = stream(3, 0).standard_normal((5, 2))
+    with pytest.raises(ValueError, match="must hold integers"):
+        fn(coords, subsets)
+
+
 def test_profile_sum_identity_odd():
     for seed in range(10):
         ps = gauss(100 + seed, 5, 2)
@@ -456,6 +467,13 @@ def test_disjoint_pairs_empty():
     i, j = geo.disjoint_pairs([])
     assert len(i) == len(j) == 0
     assert geo.estranged_pair_count(geo.FacetSet(n=4, d=2, facets=[])) == 0
+
+
+@pytest.mark.parametrize("subsets", [[[0.5, 1.7], [2, 3]],
+                                     [[True, False], [False, True]]])
+def test_disjoint_pairs_of_floats_or_booleans_raise(subsets):
+    with pytest.raises(ValueError, match="must hold integers"):
+        geo.disjoint_pairs(subsets)
 
 
 # ----------------------------------------------------------- general position
