@@ -137,11 +137,9 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     """
     block = _as_block(coords)
     t, n, d = block.shape
-    subsets = _index_array(subsets)
-    if subsets.ndim != 2 or subsets.shape[1] != d:
-        raise ValueError(f"subsets must be a 2-D array of width d = {d}, "
-                         f"not of shape {subsets.shape}")
-    sets, index, flip, outside = _orientation_table(n, d, subsets.tobytes())
+    if not isinstance(subsets, _CheckedSubsets):
+        subsets = _check_subsets(n, d, subsets)
+    sets, index, flip, outside = subsets.table
     scale = coordinate_scale(block)
     parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
                             - np.take(block, part[:, :1], axis=1),
@@ -168,6 +166,21 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     sides.reshape(t, -1)[:, outside] = np.subtract(
         1, 2 * neg, dtype=np.int8).reshape(t, -1)
     return sides if np.ndim(coords) == 3 else sides[0]
+
+
+class _CheckedSubsets(np.ndarray):
+    """A checked subset list; ``table`` is its ``_orientation_table``."""
+
+
+def _check_subsets(n: int, d: int, subsets) -> _CheckedSubsets:
+    """The subset list as intp, checked for point sets (n, d)."""
+    subsets = _index_array(subsets)
+    if subsets.ndim != 2 or subsets.shape[1] != d:
+        raise ValueError(f"subsets must be a 2-D array of width d = {d}, "
+                         f"not of shape {subsets.shape}")
+    checked = subsets.view(_CheckedSubsets)
+    checked.table = _orientation_table(n, d, subsets.tobytes())
+    return checked
 
 
 @functools.lru_cache(maxsize=8)
@@ -207,14 +220,15 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
 
     Yields (rows, below), a slice and a table: below[t, j] counts the points
     outside subset subsets[j] strictly below its hyperplane in point set
-    coords[rows][t]; the other n - d - below lie strictly above. The sides
-    come from ``signed_distances``, one call per chunk of max(1, _BLOCK //
-    max(c, m)) point sets, so that each numpy call covers at most _BLOCK
-    (point set, subset or set) pairs, for c subsets in m <= min(c (n - d),
-    C(n, d + 1)) distinct (d+1)-sets; the bound is m for the full list and
-    for disjoint subsets. An error names the row of the block.
+    coords[rows][t]; the other n - d - below lie strictly above. The sides come
+    from ``signed_distances``, on the list checked once, in one call per chunk
+    of max(1, _BLOCK // max(c, m)) point sets, so that each numpy call covers
+    at most _BLOCK (point set, subset or set) pairs, for c subsets in m <=
+    min(c (n - d), C(n, d + 1)) distinct (d+1)-sets; the bound is m for the
+    full list and for disjoint subsets. An error names the row of the block.
     """
     t, n, d = coords.shape
+    subsets = _check_subsets(n, d, subsets)
     c = len(subsets)
     m = min(c * (n - d), math.comb(n, d + 1))
     step = max(1, _BLOCK // max(1, c, m))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate, optimize, special
+from scipy import integrate, special
 
 DEGENERACY_RTOL = 1e-9
 _U = 2.0 ** -53  # unit roundoff of float64
@@ -250,22 +250,24 @@ def _golden_section_max(f, lo: float, hi: float, xtol: float):
     return best_x, best_f, iters
 
 
-def maximize_1d(f: Callable[[float], float], a: float, b: float,
+def maximize_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
                 grid_nodes: int = 2049) -> MaximizeResult:
     """Maximize f on [a, b]: dense grid scan then golden-section refinement.
 
-    grid_nodes of the form 2^m + 1 keeps successive doublings nested, so the
-    reported value is monotone under grid refinement.
+    f maps an array of points to their values; the grid is one call of f.
+    grid_nodes of the form 2^m + 1 keeps successive doublings nested, so
+    the reported value is monotone under grid refinement.
     """
     if grid_nodes < 3:
         raise ValueError("grid_nodes must be at least 3")
     xs = np.linspace(a, b, grid_nodes)
-    fs = np.array([f(x) for x in xs], dtype=float)
+    fs = np.asarray(f(xs), dtype=float)
     i = int(np.argmax(fs))
     best_x, best_f = float(xs[i]), float(fs[i])
     lo = float(xs[max(i - 1, 0)])
     hi = float(xs[min(i + 1, grid_nodes - 1)])
-    gx, gf, iters = _golden_section_max(f, lo, hi, xtol=1e-12 * (b - a))
+    gx, gf, iters = _golden_section_max(lambda x: f(np.array([x]))[0], lo, hi,
+                                        xtol=1e-12 * (b - a))
     if gf > best_f:
         best_x, best_f = float(gx), float(gf)
     return MaximizeResult(argmax=np.array([best_x]), value=best_f,
@@ -273,15 +275,15 @@ def maximize_1d(f: Callable[[float], float], a: float, b: float,
                           grid_resolution=(b - a) / (grid_nodes - 1))
 
 
-def maximize_box(f: Callable[[np.ndarray], float],
+def maximize_box(f: Callable[[np.ndarray], np.ndarray],
                  box: Sequence[tuple[float, float]],
                  grid_nodes: int = 65) -> MaximizeResult:
     """Maximize f over a 1- to 3-dimensional box.
 
     f maps an (N, dim) array of points to N values. Full grid scan
     (grid_nodes per axis, one call of f) followed by Nelder-Mead refinement
-    started from the best REFINE_STARTS grid cells. Iterates are clamped to
-    the box, so the reported argmax always lies inside it.
+    started from the best REFINE_STARTS grid cells, in lockstep. Iterates
+    are clamped to the box, so the reported argmax always lies inside it.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     dim = len(box)
@@ -298,24 +300,76 @@ def maximize_box(f: Callable[[np.ndarray], float],
     vals = np.asarray(f(pts), dtype=float)
 
     order = np.argsort(vals)[::-1][:REFINE_STARTS]
-    best_i = int(order[0])
-    best_x, best_f = pts[best_i].copy(), float(vals[best_i])
-
-    def neg_clamped(x: np.ndarray) -> float:
-        nonlocal best_x, best_f
-        xc = np.clip(x, los, his)
-        v = float(f(xc[None, :])[0])
+    best_x, best_f = pts[order[0]].copy(), float(vals[order[0]])
+    xs, vs, nit = _nelder_mead_max(f, pts[order], los, his)
+    for x, v in zip(xs, vs):  # the starts in turn, as if run one by one
         if v > best_f:
-            best_x, best_f = xc.copy(), v
-        return -v
-
-    refinements = 0
-    for start in order:
-        res = optimize.minimize(neg_clamped, pts[start], method="Nelder-Mead",
-                                options={"xatol": 1e-11, "fatol": 1e-13,
-                                         "maxiter": 2000})
-        refinements += int(res.nit)
+            best_x, best_f = x, float(v)
     return MaximizeResult(argmax=best_x, value=best_f,
-                          refinements=refinements,
+                          refinements=int(nit.sum()),
                           grid_resolution=float(np.max((his - los)
                                                        / (grid_nodes - 1))))
+
+
+def _nelder_mead_max(f, starts: np.ndarray, los: np.ndarray, his: np.ndarray):
+    """Nelder-Mead (Nelder and Mead, 1965) on -f(clip(x)) from each start in
+    lockstep: each start takes the steps of scipy's non-adaptive
+    ``minimize(method="Nelder-Mead")`` (rho, chi, psi, sigma = 1, 2, 1/2,
+    1/2) at xatol 1e-11, fatol 1e-13 and maxiter 2000, and a call of f
+    takes at most one point per running start. Returns, per start, the
+    first clamped point of greatest value, that value and scipy's ``nit``."""
+    s, n = starts.shape
+    best_x, best_v = starts.copy(), np.full(s, -np.inf)
+
+    def neg(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        xc = np.clip(x, los, his)
+        v = np.asarray(f(xc), dtype=float)
+        up = v > best_v[rows]
+        best_v[rows[up]], best_x[rows[up]] = v[up], xc[up]
+        return -v
+
+    def sort(x: np.ndarray, fx: np.ndarray):
+        ind = np.argsort(fx, axis=1)
+        return (np.take_along_axis(x, ind[..., None], axis=1),
+                np.take_along_axis(fx, ind, axis=1))
+
+    active = np.arange(s)
+    sim = np.repeat(starts[:, None], n + 1, axis=1)
+    sim[:, np.arange(n) + 1, np.arange(n)] = np.where(starts != 0,
+                                                      1.05 * starts, 0.00025)
+    fsim = np.stack([neg(active, sim[:, j]) for j in range(n + 1)], axis=1)
+    sim, fsim = sort(*sort(sim, fsim))  # twice, as scipy: argsort is unstable
+    nit = np.full(s, 2000)
+    for it in range(1, 2000):
+        done = (np.abs(sim[active, 1:] - sim[active, :1]).max(axis=(1, 2))
+                <= 1e-11) & (np.abs(fsim[active, :1] - fsim[active, 1:])
+                             .max(axis=1) <= 1e-13)
+        nit[active[done]] = it
+        active = active[~done]
+        if not active.size:
+            break
+        sa, fa = sim[active], fsim[active]
+        xbar, worst = np.add.reduce(sa[:, :-1], 1) / n, sa[:, -1]
+        xr = 2 * xbar - worst
+        fxr = neg(active, xr)
+        expand = fxr < fa[:, 0]
+        contract = ~expand & ~(fxr < fa[:, -2])
+        outside = contract & (fxr < fa[:, -1])
+        x2 = np.where(expand[:, None], 3 * xbar - 2 * worst,
+                      np.where(outside[:, None], 1.5 * xbar - 0.5 * worst,
+                               0.5 * xbar + 0.5 * worst))
+        f2 = np.full(len(active), np.nan)
+        f2[expand | contract] = neg(active[expand | contract],
+                                    x2[expand | contract])
+        take = np.where(expand, f2 < fxr, np.where(
+            outside, f2 <= fxr, contract & (f2 < fa[:, -1])))
+        shrink = contract & ~take
+        sa[~shrink, -1] = np.where(take[:, None], x2, xr)[~shrink]
+        fa[~shrink, -1] = np.where(take, f2, fxr)[~shrink]
+        if shrink.any():
+            rows = np.flatnonzero(shrink)
+            for j in range(1, n + 1):
+                sa[rows, j] = sa[rows, 0] + 0.5 * (sa[rows, j] - sa[rows, 0])
+                fa[rows, j] = neg(active[rows], sa[rows, j])
+        sim[active], fsim[active] = sort(sa, fa)
+    return best_x, best_v, nit

@@ -137,10 +137,12 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
     _check_alpha_r(alpha, r)
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
 
-    def objective(y: float) -> float:
+    def objective(y: np.ndarray) -> np.ndarray:
         la = e1 * std_normal_log_cdf(y) if e1 != 0.0 else 0.0
         lb = e2 * std_normal_log_cdf(-y) if e2 != 0.0 else 0.0
-        return math.exp(la + lb - 0.5 * y * y) / math.sqrt(2.0 * math.pi)
+        # math.exp: np.exp can differ from it in the last bit
+        return np.array([math.exp(v) for v in (la + lb - 0.5 * y * y).tolist()]
+                        ) / math.sqrt(2.0 * math.pi)
 
     with np.errstate(over="ignore"):  # an exponent of -inf: checked below
         res = maximize_1d(objective, -INTEGRATION_HALF_WIDTH,

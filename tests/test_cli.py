@@ -367,7 +367,10 @@ PARENT_STDOUT = json.loads((Path(__file__).parent / "fixtures"
 def test_stdout_matches_fixture(command):
     # captured when the enumeration ran per trial in the draw step and
     # growth_base_kfacet re-ran the c_alpha_r maximizer; the verify entries
-    # when each check ran its own Monte Carlo experiment
+    # when each check ran its own Monte Carlo experiment; the `constants
+    # estranged`, `--alpha 1e6` and `--n 64 --d 43` entries when c_alpha_r
+    # scanned its grid one point at a time and maximize_box ran one scipy
+    # Nelder-Mead per start
     code, out, _ = run_cli(command.split())
     assert code == 0
     assert out == PARENT_STDOUT[command]

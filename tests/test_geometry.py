@@ -814,3 +814,20 @@ def test_trial_62_passes_the_audit():
     geo.profile_counts(coords)
     rep = geo.general_position_check(PointSet.from_coords(coords))
     assert rep.passed and rep.violations == []
+
+
+def test_block_profile_looks_up_its_table_once():
+    # at (16, 8) a chunk of _side_table is one point set; the subset list
+    # is hashed for its table once per profile_counts call, not per chunk,
+    # and the counts equal those of one signed_distances call on the block
+    block = stream(8, 0).standard_normal((3, 16, 8))
+    subsets = geo.subset_array(16, 8)
+    before = geo._orientation_table.cache_info()
+    profiles = geo.profile_counts(block, subsets)
+    after = geo._orientation_table.cache_info()
+    assert (after.hits + after.misses) - (before.hits + before.misses) <= 1
+    below = (geo.signed_distances(block, subsets) < 0).sum(axis=2)
+    hist = np.stack([np.bincount(b, minlength=9) for b in below])
+    want = hist + hist[:, ::-1]
+    want[:, 4] = hist[:, 4]
+    assert np.array_equal(profiles, want)

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 from scipy.stats import norm
 
 from gpoly import mathcore as mc
+from gpoly import theory as th
 
 
 # ------------------------------------------------------------ simplex volume
@@ -344,3 +346,96 @@ def test_maximize_box_dimension_limits():
         mc.maximize_box(lambda x: np.zeros(len(x)), [])
     with pytest.raises(ValueError):
         mc.maximize_box(lambda x: np.zeros(len(x)), [(1.0, 1.0)])
+
+
+def sequential_maximize_box(f, box, grid_nodes=65):
+    """The oracle: maximize_box as it was with one scipy Nelder-Mead run per
+    start, in turn. Also returns the number of refinement evaluations."""
+    box = [(float(lo), float(hi)) for lo, hi in box]
+    los = np.array([lo for lo, _ in box])
+    his = np.array([hi for _, hi in box])
+    axes = [np.linspace(lo, hi, grid_nodes) for lo, hi in box]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    vals = np.asarray(f(pts), dtype=float)
+    order = np.argsort(vals)[::-1][:mc.REFINE_STARTS]
+    best_i = int(order[0])
+    best_x, best_f = pts[best_i].copy(), float(vals[best_i])
+    evaluations = 0
+
+    def neg_clamped(x):
+        nonlocal best_x, best_f, evaluations
+        evaluations += 1
+        xc = np.clip(x, los, his)
+        v = float(f(xc[None, :])[0])
+        if v > best_f:
+            best_x, best_f = xc.copy(), v
+        return -v
+
+    refinements = 0
+    for start in order:
+        res = optimize.minimize(neg_clamped, pts[start], method="Nelder-Mead",
+                                options={"xatol": 1e-11, "fatol": 1e-13,
+                                         "maxiter": 2000})
+        refinements += int(res.nit)
+    return (best_f, best_x, refinements), evaluations
+
+
+def theory_objectives(monkeypatch):
+    """(f, box) of the four estranged_constant kernels and of
+    estranged_constant_reduced, as theory passes them to maximize_box."""
+    seen = []
+
+    def record(f, box, grid_nodes=65):
+        seen.append((f, box))
+        return mc.maximize_box(f, box, grid_nodes)
+
+    monkeypatch.setattr(th, "maximize_box", record)
+    for signs in ("--", "-+", "+-", "++"):
+        th.estranged_constant(*signs)
+    th.estranged_constant_reduced()
+    return seen
+
+
+def plateau(x):
+    return -np.max(np.abs(x - 0.3), axis=1).round(1)
+
+
+ORACLE_CASES = [
+    (lambda x: -x[:, 0] ** 2 - x[:, 1] ** 2, [(0.0, 2.0), (-1.0, 1.0)]),
+    (lambda x: np.sin(3 * x[:, 0]) * np.cos(2 * x[:, 1]) + 0.1 * x[:, 0],
+     [(-2.0, 2.0), (-2.0, 2.0)]),
+    (lambda x: np.exp(-x[:, 0] ** 2) * np.cos(3 * x[:, 1]),
+     [(0.0, 2.0), (-1.0, 1.0)]),
+    (lambda x: np.sin(5 * x[:, 0]) * np.exp(-x[:, 0] ** 2), [(-2.0, 2.0)]),
+    # varies at every scale: two of its starts stop at maxiter
+    (lambda x: np.sin(1e15 * x[:, 0]), [(0.5, 1.0)]),
+    (plateau, [(-1.0, 1.0), (0.0, 1.0), (-0.5, 0.5)]),
+    (lambda x: np.full(len(x), 4.25), [(0.0, 1.0), (0.0, 1.0)]),
+    (lambda x: np.full(len(x), -1.0), [(-1.0, 0.0)] * 3),
+]
+
+
+def test_lockstep_refinement_matches_sequential_scipy(monkeypatch):
+    # value, argmax and refinements are bitwise those of one scipy
+    # Nelder-Mead run per start, on the theory's kernels and on smooth,
+    # one-dimensional, everywhere-oscillating, non-smooth and constant
+    # objectives
+    cases = theory_objectives(monkeypatch) + ORACLE_CASES
+    for f, box in cases:
+        res = mc.maximize_box(f, box)
+        (value, argmax, refinements), _ = sequential_maximize_box(f, box)
+        assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+        assert res.argmax.tobytes() == argmax.tobytes()
+        assert res.refinements == refinements
+
+
+def test_oracle_cases_take_shrink_steps():
+    # a step without a shrink evaluates at most two points, so more
+    # evaluations than (dim + 1) per start plus two per later iteration
+    # means the non-smooth and constant cases reach the shrink branch
+    for f, box in ORACLE_CASES[5:]:
+        (_, _, refinements), evaluations = sequential_maximize_box(f, box)
+        starts = mc.REFINE_STARTS
+        assert evaluations > starts * (len(box) + 1) \
+            + 2 * (refinements - starts)

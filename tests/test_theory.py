@@ -153,6 +153,63 @@ def test_c_alpha_r_validation():
         th.c_alpha_r(2.0, 1.5)
 
 
+def scalar_maximize_1d(f, a, b, grid_nodes=2049):
+    """The oracle: maximize_1d as it was, calling f on one float at a time."""
+    xs = np.linspace(a, b, grid_nodes)
+    fs = np.array([f(x) for x in xs], dtype=float)
+    i = int(np.argmax(fs))
+    best_x, best_f = float(xs[i]), float(fs[i])
+    lo = float(xs[max(i - 1, 0)])
+    hi = float(xs[min(i + 1, grid_nodes - 1)])
+    gx, gf, iters = mc._golden_section_max(f, lo, hi, xtol=1e-12 * (b - a))
+    if gf > best_f:
+        best_x, best_f = float(gx), float(gf)
+    return best_f, np.array([best_x]), iters
+
+
+def scalar_c_objective(alpha, r):
+    """c_alpha_r's objective as it was, one float at a time."""
+    e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
+
+    def objective(y):
+        la = e1 * mc.std_normal_log_cdf(y) if e1 != 0.0 else 0.0
+        lb = e2 * mc.std_normal_log_cdf(-y) if e2 != 0.0 else 0.0
+        return math.exp(la + lb - 0.5 * y * y) / math.sqrt(2.0 * math.pi)
+
+    return objective
+
+
+def test_c_alpha_r_matches_scalar_maximizer(monkeypatch):
+    # the batched objective and grid scan give bitwise the value, argmax
+    # and refinements of the one-point-at-a-time maximizer, including
+    # where the maximum underflows and c_alpha_r raises
+    seen = []
+
+    def record(f, a, b, grid_nodes=2049):
+        seen.append(mc.maximize_1d(f, a, b, grid_nodes))
+        return seen[-1]
+
+    monkeypatch.setattr(th, "maximize_1d", record)
+    rng = np.random.default_rng(20)
+    pairs = [(a, r) for a in (1.1, 2.0, 6.0, 1e6) for r in (0.0, 0.5, 1.0)]
+    pairs += [(2.5, 0.3), (1e300, 0.5)]
+    pairs += [(float(a), float(r)) for a, r in
+              zip(rng.uniform(1.1, 6.0, 12), rng.uniform(0.0, 1.0, 12))]
+    for alpha, r in pairs:
+        try:
+            th.c_alpha_r(alpha, r)
+        except ValueError:
+            pass
+        with np.errstate(over="ignore"):
+            value, argmax, refinements = scalar_maximize_1d(
+                scalar_c_objective(alpha, r), -th.INTEGRATION_HALF_WIDTH,
+                th.INTEGRATION_HALF_WIDTH)
+        res = seen.pop()
+        assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
+        assert res.argmax.tobytes() == argmax.tobytes()
+        assert res.refinements == refinements
+
+
 def test_growth_base_exact_midpoint():
     assert abs(th.growth_base_kfacet(2.0, 0.5) - 4.0) <= 1e-9
 
@@ -227,7 +284,7 @@ def test_estranged_four_c(reduced):
 
 def test_estranged_reduced_dominates_w0_slice(reduced):
     slice_max = mc.maximize_1d(
-        lambda rho: math.exp(-rho * rho) * mc.std_normal_cdf(rho) ** 2,
+        lambda rho: np.exp(-rho * rho) * mc.std_normal_cdf(rho) ** 2,
         0.0, 6.0)
     assert reduced.value >= slice_max.value - 1e-12
 
