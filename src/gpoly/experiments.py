@@ -30,7 +30,6 @@ from .sampling import RngStream, _truncated_coords
 
 CHUNK = 4096  # trials reduced to one (count, mean, M2) before the merge
 SUB_BLOCK = 512  # rows stacked per kernel call
-SUBSET_CAP = 200_000  # largest C(n, d) an enumeration run counts per set
 ESTRANGED_D_CAP = 7  # largest d of estranged_expectation_mc
 PAIR_D_CAP = 10  # largest d of pair_facet_probability_mc
 Z_THRESHOLD = 3.0
@@ -201,9 +200,9 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
                                   master_seed: int) -> list[MCEstimate]:
     """Empirical expectation of the whole profile vector (e_0, ..., e_{n-d})."""
     theory._check_kfacet_inputs(n, d, 0)
-    if math.comb(n, d) > SUBSET_CAP:
+    if math.comb(n, d) > geometry.SUBSET_CAP:
         raise ResourceCapError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
-                               f"the subset cap {SUBSET_CAP}")
+                               f"the subset cap {geometry.SUBSET_CAP}")
     return _profile_mc(n, geometry.subset_array(n, d), trials, master_seed)
 
 

@@ -12,11 +12,11 @@ Every side comes from ``signed_distances``: the sign of the orientation
 determinant over S u {j} for point j and subset S. ``disjoint_pairs`` is
 the one test of which subsets share no point.
 
-One degeneracy contract: a (d+1)-set is degenerate when one of its
-d-subsets fails the rule of ``mathcore.degenerate`` or its exact
-orientation is zero. ``general_position_check`` reports such sets, and the
-enumeration raises on them, naming the point set's row, rather than
-tie-break, since Gaussian inputs reach them with probability zero.
+One degeneracy contract, in ``_orientations``: a (d+1)-set is degenerate
+when one of its d-subsets fails the rule of ``mathcore.degenerate`` or its
+exact orientation is zero. The enumeration raises on such sets, naming the
+point set's row, rather than tie-break (Gaussian inputs reach them with
+probability zero), and ``general_position_check`` reports every one.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from .mathcore import (coordinate_scale, degenerate, orientation_signs,
                        signed_volumes)
 
 _BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
-GP_EXHAUSTIVE_MAX_N = 16  # general_position_check samples above this n
-GP_SAMPLES = 10_000  # subsets a sampled general_position_check audits
+SUBSET_CAP = 200_000  # largest C(n, d) an enumeration run or audit covers
 
 
 class DegenerateSubsetError(ValueError):
@@ -91,7 +90,6 @@ class GeneralPositionReport:
     passed: bool
     violations: list[tuple[int, ...]]
     checked: int
-    exhaustive: bool
 
 
 def _as_block(coords) -> np.ndarray:
@@ -126,26 +124,46 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     outside the subset and 0 on its own points, by the degeneracy contract.
     Every side count of the enumeration comes from here.
 
-    Point j and subset S take the sign of det [x_s, 1; x_j, 1], S then j:
-    from ``signed_volumes`` where it is sure, else ``orientation_signs``.
-    A point set with an unsure sign, or a subset that no cleared (d+1)-set
-    covers, takes the contract: the first subset that fails the rule of
-    ``degenerate`` raises DegenerateSubsetError, then the first (subset,
-    point) with a zero orientation raises DegeneracyError, each naming the
-    point set's row. The rule's SVD runs only on the uncovered subsets: the
-    screen's bound passes the others.
+    Point j and subset S take the sign of det [x_s, 1; x_j, 1], S then j,
+    from ``_orientations``. In the first point set that breaks the contract,
+    its first subset that fails the rule raises DegenerateSubsetError, else
+    its first (subset, point) of zero orientation raises DegeneracyError,
+    each naming the point set's row.
     """
     block = _as_block(coords)
     t, n, d = block.shape
     if not isinstance(subsets, _CheckedSubsets):
         subsets = _check_subsets(n, d, subsets)
-    sets, index, flip, outside = subsets.table
+    _, index, flip, outside = subsets.table
+    dets, bad = _orientations(block, subsets)
+    for r in np.flatnonzero(bad.any(axis=1) | (dets == 0).any(axis=1))[:1]:
+        if bad[r].any():
+            raise DegenerateSubsetError(subsets[np.argmax(bad[r])], r)
+        zero = outside[np.take(dets[r], index).ravel() == 0]
+        raise DegeneracyError(subsets[zero[0] // n], zero[0] % n, r)
+    neg = (np.take(dets < 0, index, axis=1) ^ flip).view(np.int8)
+    sides = np.zeros((t, len(subsets), n), dtype=np.int8)
+    sides.reshape(t, -1)[:, outside] = np.subtract(
+        1, 2 * neg, dtype=np.int8).reshape(t, -1)
+    return sides if np.ndim(coords) == 3 else sides[0]
+
+
+def _orientations(block: np.ndarray, subsets) -> tuple[np.ndarray, np.ndarray]:
+    """The degeneracy contract on a (T, n, d) block and a checked subset
+    list: bad (T, c), the subsets that fail the rule of ``degenerate``, and
+    dets (T, m) of the table's sets: det E by ``signed_volumes``, its exact
+    sign where that is not sure, 0 on a set with a bad subset. The SVD runs
+    only on subsets no cleared set covers, and the exact sign only on
+    unsure sets that contain no bad subset."""
+    n, d = block.shape[1:]
+    sets, index = subsets.table[:2]
     scale = coordinate_scale(block)
     parts = [signed_volumes(np.take(block, part[:, 1:], axis=1)
                             - np.take(block, part[:, :1], axis=1),
                             scale[:, None])
              for part in np.split(sets, range(_BLOCK, len(sets), _BLOCK))]
     dets, sure, clear = (np.concatenate(p, axis=1) for p in zip(*parts))
+    bad = np.zeros((len(block), len(subsets)), dtype=bool)
     # with every set cleared, every subset is covered unless it has no set
     for r in np.flatnonzero(~clear.all(axis=1) | (n == d)):
         covered = np.take(clear[r], index).any(axis=1)
@@ -153,19 +171,12 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
             continue
         rest = np.flatnonzero(~covered)
         for part in np.split(rest, range(_BLOCK, len(rest), _BLOCK)):
-            bad = degenerate(_edge_sv(block[r, subsets[part]]), scale[r])
-            if bad.any():
-                raise DegenerateSubsetError(subsets[part[np.argmax(bad)]], r)
-        unsure = np.flatnonzero(~sure[r])  # take the exact sign of det E
+            bad[r, part] = degenerate(_edge_sv(block[r, subsets[part]]),
+                                      scale[r])
+        unsure = np.setdiff1d(np.flatnonzero(~sure[r]), index[bad[r]])
         dets[r, unsure] = (-1) ** d * orientation_signs(block[r, sets[unsure]])
-        zero = outside[np.take(dets[r], index).ravel() == 0]
-        if zero.size:
-            raise DegeneracyError(subsets[zero[0] // n], zero[0] % n, r)
-    neg = (np.take(dets < 0, index, axis=1) ^ flip).view(np.int8)
-    sides = np.zeros((t, len(subsets), n), dtype=np.int8)
-    sides.reshape(t, -1)[:, outside] = np.subtract(
-        1, 2 * neg, dtype=np.int8).reshape(t, -1)
-    return sides if np.ndim(coords) == 3 else sides[0]
+        dets[r, index[bad[r]]] = 0
+    return dets, bad
 
 
 class _CheckedSubsets(np.ndarray):
@@ -299,13 +310,15 @@ def facet_set(ps) -> FacetSet:
 
 def disjoint_pairs(subsets) -> tuple[np.ndarray, np.ndarray]:
     """Index pairs (i, j), i < j, of the rows of ``subsets`` that share no
-    point, in row-major order.
+    point, in row-major order. A negative entry raises ValueError.
 
     Rows are compared through their 0/1 incidence matrix: row i meets the
     rows after it in one matrix product, over blocks of at most _BLOCK
     pairs, so any number of points works.
     """
     subsets = _index_array(subsets)
+    if np.any(subsets < 0):
+        raise ValueError("subset entries must be non-negative")
     c = len(subsets)
     inc = np.zeros((c, subsets.max(initial=-1) + 1))
     inc[np.arange(c)[:, None], subsets] = 1.0
@@ -326,40 +339,27 @@ def estranged_pair_count(fs: FacetSet) -> int:
 
 def general_position_check(ps, max_reported: int = 16
                            ) -> GeneralPositionReport:
-    """Affine-independence audit of all (or sampled) (d+1)-point subsets.
-
-    Exhaustive for n <= GP_EXHAUSTIVE_MAX_N, otherwise a fixed-seed random
-    sample of GP_SAMPLES subsets; the report lists the first max_reported
-    violations. A (d+1)-set fails by the degeneracy contract of the
-    enumeration: one of its d-subsets fails the rule of
-    ``mathcore.degenerate``, or its exact orientation
-    (``mathcore.orientation_signs``) is zero. Both tests run only on the
-    sets whose ``mathcore.signed_volumes`` determinant the screen does not
-    clear, and the exact one only where that determinant is not sure. With
-    n <= d the one subset, all n points, fails by the rule alone.
-    """
+    """Affine-independence audit of every (d+1)-point subset, listing the
+    first max_reported violations in lexicographic order: a set fails by
+    the enumeration's own contract code, ``_orientations`` on the full
+    subset list. With n <= d the one subset, all n points, fails by the
+    rule of ``mathcore.degenerate`` alone. A negative max_reported, or
+    C(n, d) > SUBSET_CAP, raises ValueError before any table is built."""
     n, d = ps.n, ps.d
-    size = min(d + 1, n)
-    exhaustive = n <= GP_EXHAUSTIVE_MAX_N
-    if exhaustive:
-        subs = subset_array(n, size)
+    if max_reported < 0:
+        raise ValueError(f"max_reported must be >= 0, not {max_reported}")
+    if math.comb(n, d) > SUBSET_CAP:
+        raise ValueError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
+                         f"the subset cap {SUBSET_CAP}")
+    block = _as_block(ps.coords)
+    if n <= d:
+        subs = subset_array(n, n)
+        bad = degenerate(_edge_sv(block[0, subs]), coordinate_scale(block))
     else:
-        rng = np.random.default_rng(20240 + size)  # fixed seed: report is deterministic
-        rows = np.broadcast_to(np.arange(n, dtype=np.intp), (GP_SAMPLES, n))
-        subs = np.sort(rng.permuted(rows, axis=1)[:, :size], axis=1)
-    pts = ps.coords[subs]
-    scale = coordinate_scale(ps.coords)
-    if size > d:
-        _, sure, clear = signed_volumes(pts[:, 1:] - pts[:, :1], scale)
-        bad = np.zeros(len(subs), dtype=bool)
-        rows = np.flatnonzero(~clear)
-        bad[rows] = degenerate(_edge_sv(pts[rows][:, subset_array(size, d)]),
-                               scale).any(axis=1)
-        rows = rows[~bad[rows] & ~sure[rows]]
-        bad[rows] = orientation_signs(pts[rows]) == 0
-    else:
-        bad = degenerate(_edge_sv(pts), scale)
+        subsets = _check_subsets(n, d, subset_array(n, d))
+        subs = subsets.table[0]
+        bad = _orientations(block, subsets)[0][0] == 0
     violations = [tuple(int(i) for i in subs[i])
                   for i in np.nonzero(bad)[0][:max_reported]]
     return GeneralPositionReport(passed=not bad.any(), violations=violations,
-                                 checked=len(subs), exhaustive=exhaustive)
+                                 checked=len(subs))

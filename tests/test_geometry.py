@@ -476,11 +476,21 @@ def test_disjoint_pairs_of_floats_or_booleans_raise(subsets):
         geo.disjoint_pairs(subsets)
 
 
+def test_disjoint_pairs_of_negative_entries_raise():
+    # -1 would index the last column of the incidence matrix, so (1, -1)
+    # would meet (0, 2) at point 2 and the pair would silently vanish
+    with pytest.raises(ValueError, match="non-negative"):
+        geo.disjoint_pairs([[0, 2], [1, -1]])
+    with pytest.raises(ValueError, match="non-negative"):
+        geo.estranged_pair_count(geo.FacetSet(n=4, d=2,
+                                              facets=[(0, 2), (1, -1)]))
+
+
 # ----------------------------------------------------------- general position
 
 def test_general_position_gaussian_passes():
     rep = geo.general_position_check(gauss(71, 10, 3))
-    assert rep.passed and rep.exhaustive
+    assert rep.passed
     assert rep.checked == math.comb(10, 4)
 
 
@@ -508,23 +518,52 @@ def test_general_position_short_edge():
     assert rep.violations == [(0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5)]
 
 
-def test_general_position_sampled_mode():
+def test_general_position_is_exhaustive_above_16_points():
     rep = geo.general_position_check(gauss(83, 40, 3))
-    assert rep.passed and not rep.exhaustive
-    assert rep.checked == 10_000
-    again = geo.general_position_check(gauss(83, 40, 3))
-    assert again.violations == rep.violations  # fixed-seed sampling
-    # on coplanar points every sampled subset is a violation, so the report
-    # lists the sample itself
+    assert rep.passed and rep.checked == math.comb(40, 4)
+    assert geo.general_position_check(gauss(83, 40, 3)) == rep
+    # on coplanar points every set is a violation, each by its exact zero
+    # orientation, so the report lists the first sets in lexicographic order
     flat = np.hstack([gauss(83, 40, 2).coords, np.zeros((40, 1))])
     runs = [geo.general_position_check(PointSet.from_coords(flat),
                                        max_reported=10_000)
             for _ in range(2)]
     rows = np.array(runs[0].violations)
     assert rows.shape == (10_000, 4) and not runs[0].passed
+    assert runs[0].checked == math.comb(40, 4)
     assert np.all(np.diff(rows, axis=1) > 0)  # sorted and distinct
     assert rows.min() >= 0 and rows.max() < 40
-    assert runs[1].violations == runs[0].violations
+    assert np.array_equal(rows, geo.subset_array(40, 4)[:10_000])
+    assert runs[1] == runs[0]
+
+
+def test_general_position_finds_the_one_coplanar_set_of_40_points():
+    # a sample of 10,000 of the C(40, 4) = 91,390 sets would likely miss
+    # the one degenerate set that the enumeration raises on
+    coords = stream(83, 0).standard_normal((40, 3))
+    coords[[5, 17, 29, 33], 2] = 0.5
+    rep = geo.general_position_check(PointSet.from_coords(coords))
+    assert not rep.passed and rep.violations == [(5, 17, 29, 33)]
+    with pytest.raises(geo.DegeneracyError) as err:
+        geo.profile_counts(coords)
+    assert (err.value.point_index, err.value.subset) == (33, (5, 17, 29))
+
+
+def test_general_position_refuses_a_negative_max_reported():
+    # [:-1] would drop the last violation and report passed=False with none
+    with pytest.raises(ValueError, match="max_reported"):
+        geo.general_position_check(SQUARE, max_reported=-1)
+
+
+def test_general_position_refuses_a_set_over_the_subset_cap():
+    ps = PointSet.from_coords(stream(5, 0).standard_normal((30, 10)))
+    before = geo._orientation_table.cache_info()
+    with pytest.raises(ValueError, match=rf"C\(30, 10\) = "
+                       rf"{math.comb(30, 10)} exceeds the subset cap "
+                       rf"{geo.SUBSET_CAP}"):
+        geo.general_position_check(ps)
+    after = geo._orientation_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 # ------------------------------------------------------- degeneracy contract
