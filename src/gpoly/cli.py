@@ -240,9 +240,8 @@ def cmd_constants(args) -> Output:
                    "growth_base": factor * c.value}
     else:
         params = {}
-        signs = [("-", "-"), ("+", "-"), ("-", "+"), ("+", "+")]
-        constants = [theory.estranged_constant(s1, s2).as_record(
-            f"estranged[{s1}{s2}]") for s1, s2 in signs]
+        constants = [c.as_record(f"estranged[{c.context['signs']}]")
+                     for c in theory.estranged_constants()]
         reduced = theory.estranged_constant_reduced().as_record(
             "estranged_reduced")
         payload = {"command": "constants", "target": "estranged",

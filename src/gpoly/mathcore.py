@@ -25,7 +25,8 @@ from scipy import integrate, special
 
 DEGENERACY_RTOL = 1e-9
 _U = 2.0 ** -53  # unit roundoff of float64
-REFINE_STARTS = 8  # grid cells maximize_box refines from
+REFINE_STARTS = 8  # grid cells maximize_boxes refines from, per objective
+GRID_BLOCK = 16384  # grid points per call of f: 1-D and 2-D grids take one
 
 
 class QuadratureError(RuntimeError):
@@ -278,52 +279,67 @@ def maximize_1d(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 def maximize_box(f: Callable[[np.ndarray], np.ndarray],
                  box: Sequence[tuple[float, float]],
                  grid_nodes: int = 65) -> MaximizeResult:
-    """Maximize f over a 1- to 3-dimensional box.
+    """One-objective ``maximize_boxes``: f maps (N, dim) points to N values."""
+    return maximize_boxes(lambda x: np.asarray(f(x), dtype=float)[:, None],
+                          box, grid_nodes)[0]
 
-    f maps an (N, dim) array of points to N values. Full grid scan
-    (grid_nodes per axis, one call of f) followed by Nelder-Mead refinement
-    started from the best REFINE_STARTS grid cells, in lockstep. Iterates
-    are clamped to the box, so the reported argmax always lies inside it.
-    """
+
+def maximize_boxes(f: Callable[[np.ndarray], np.ndarray],
+                   box: Sequence[tuple[float, float]],
+                   grid_nodes: int = 65) -> list[MaximizeResult]:
+    """Maximize each column of the (N, K) values f gives (N, dim) points over
+    a 1- to 3-dimensional box: grid scan (grid_nodes per axis, GRID_BLOCK
+    points a call), then one lockstep Nelder-Mead from each column's best
+    REFINE_STARTS cells, with iterates clamped to the box."""
     box = [(float(lo), float(hi)) for lo, hi in box]
-    dim = len(box)
-    if not 1 <= dim <= 3:
+    if not 1 <= len(box) <= 3:
         raise ValueError("box must have 1 to 3 dimensions")
     if any(hi <= lo for lo, hi in box):
         raise ValueError("box intervals must have positive length")
-    los = np.array([lo for lo, _ in box])
-    his = np.array([hi for _, hi in box])
+    los, his = np.array(box).T
 
     axes = [np.linspace(lo, hi, grid_nodes) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    vals = np.asarray(f(pts), dtype=float)
+    pts = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                   axis=1)  # the mesh goes before the scan
+    vals = np.concatenate([np.asarray(f(pts[i:i + GRID_BLOCK]), dtype=float).T
+                           for i in range(0, len(pts), GRID_BLOCK)], axis=1)
 
-    order = np.argsort(vals)[::-1][:REFINE_STARTS]
-    best_x, best_f = pts[order[0]].copy(), float(vals[order[0]])
-    xs, vs, nit = _nelder_mead_max(f, pts[order], los, his)
-    for x, v in zip(xs, vs):  # the starts in turn, as if run one by one
-        if v > best_f:
-            best_x, best_f = x, float(v)
-    return MaximizeResult(argmax=best_x, value=best_f,
-                          refinements=int(nit.sum()),
-                          grid_resolution=float(np.max((his - los)
-                                                       / (grid_nodes - 1))))
+    orders = np.array([_refine_starts(v) for v in vals])
+    cols = np.repeat(np.arange(len(vals)), orders.shape[1])
+    xs, vs, nit = _nelder_mead_max(f, pts[orders.ravel()], cols, los, his)
+    step, results = float(np.max((his - los) / (grid_nodes - 1))), []
+    for j, order in enumerate(orders):
+        best = pts[order[0]].copy(), float(vals[j, order[0]])
+        for x, v in zip(xs[cols == j], vs[cols == j]):  # the starts in turn
+            if v > best[1]:
+                best = x, float(v)
+        results.append(MaximizeResult(*best, int(nit[cols == j].sum()), step))
+    return results
 
 
-def _nelder_mead_max(f, starts: np.ndarray, los: np.ndarray, his: np.ndarray):
-    """Nelder-Mead (Nelder and Mead, 1965) on -f(clip(x)) from each start in
-    lockstep: each start takes the steps of scipy's non-adaptive
-    ``minimize(method="Nelder-Mead")`` (rho, chi, psi, sigma = 1, 2, 1/2,
-    1/2) at xatol 1e-11, fatol 1e-13 and maxiter 2000, and a call of f
-    takes at most one point per running start. Returns, per start, the
+def _refine_starts(vals: np.ndarray) -> np.ndarray:
+    """Indices of the REFINE_STARTS largest values, as np.argsort(vals)[::-1]
+    orders them, by partition when the REFINE_STARTS + 1 largest differ."""
+    cut = max(len(vals) - REFINE_STARTS - 1, 0)
+    top = np.argpartition(vals, cut)[cut:]
+    top = top[np.argsort(vals[top])[::-1]]
+    distinct = np.all(vals[top][:-1] > vals[top][1:])  # no tie and no NaN
+    return (top if distinct else np.argsort(vals)[::-1])[:REFINE_STARTS]
+
+
+def _nelder_mead_max(f, starts, cols, los, his):
+    """Nelder-Mead (Nelder and Mead, 1965) on -f(clip(x))[:, cols[i]] from
+    each start i in lockstep: each start takes the steps of scipy's
+    non-adaptive ``minimize(method="Nelder-Mead")`` (rho, chi, psi, sigma =
+    1, 2, 1/2, 1/2) at xatol 1e-11, fatol 1e-13 and maxiter 2000, and a call
+    of f takes at most one point per running start. Returns, per start, the
     first clamped point of greatest value, that value and scipy's ``nit``."""
     s, n = starts.shape
     best_x, best_v = starts.copy(), np.full(s, -np.inf)
 
     def neg(rows: np.ndarray, x: np.ndarray) -> np.ndarray:
         xc = np.clip(x, los, his)
-        v = np.asarray(f(xc), dtype=float)
+        v = np.asarray(f(xc), dtype=float)[np.arange(len(rows)), cols[rows]]
         up = v > best_v[rows]
         best_v[rows[up]], best_x[rows[up]] = v[up], xc[up]
         return -v

@@ -25,6 +25,7 @@ from .mathcore import (
     log_gamma,
     maximize_1d,
     maximize_box,
+    maximize_boxes,
     std_normal_cdf,
     std_normal_log_cdf,
 )
@@ -84,9 +85,8 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
     lc = log_binomial(m, k)
 
     def integrand(y: float) -> float:
-        return math.exp(k * std_normal_log_cdf(y)
-                        + (m - k) * std_normal_log_cdf(-y)
-                        - 0.5 * d * y * y)
+        log_p, log_q = _log_phi_pair(y)
+        return math.exp(k * log_p + (m - k) * log_q - 0.5 * d * y * y)
 
     quad = integrate_1d(integrand, -INTEGRATION_HALF_WIDTH,
                         INTEGRATION_HALF_WIDTH, rel_tol=1e-11)
@@ -96,6 +96,13 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
         raise QuadratureError(f"k-facet probability {p} is outside [0, 1] "
                               f"by more than {err}", p, err, quad.evaluations)
     return min(max(p, 0.0), 1.0)
+
+
+@functools.lru_cache(maxsize=4096)
+def _log_phi_pair(y: float) -> tuple[float, float]:
+    """(log Phi(y), log Phi(-y)) as Python floats, memoised: QUADPACK bisects
+    [-12, 12] at midpoints, so all k-facet integrals share a few hundred y."""
+    return float(std_normal_log_cdf(y)), float(std_normal_log_cdf(-y))
 
 
 def kfacet_log_expectation_exact(n: int, d: int, k: int) -> float:
@@ -179,11 +186,9 @@ def growth_factor(alpha: float, r: float) -> float:
 
 
 def _sign_factor(t, sign: str):
-    if sign == "-":
-        return std_normal_cdf(t)
-    if sign == "+":
-        return std_normal_cdf(-t)  # 1 - Phi(t), stable in the far tail
-    raise ValueError(f"sign must be '-' or '+', got {sign!r}")
+    if sign not in ("-", "+"):
+        raise ValueError(f"sign must be '-' or '+', got {sign!r}")
+    return std_normal_cdf(t if sign == "-" else -t)  # '+': 1 - Phi(t), stably
 
 
 def estranged_integrand(rho1, rho2, w, s1: str, s2: str):
@@ -196,25 +201,35 @@ def estranged_integrand(rho1, rho2, w, s1: str, s2: str):
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) >= 1.0):
         raise ValueError("estranged integrand needs |w| < 1")
-    rho1 = np.asarray(rho1, dtype=float)
-    rho2 = np.asarray(rho2, dtype=float)
+    out = _estranged_kernels(np.asarray(rho1, dtype=float),
+                             np.asarray(rho2, dtype=float), w, [(s1, s2)])
+    return float(out[..., 0]) if out.ndim == 1 else out[..., 0]
+
+
+def _estranged_kernels(rho1, rho2, w, signs):
+    """The sign pairs' kernels on a last axis, sharing the sign-free terms."""
     sq = np.sqrt(1.0 - w * w)
     t21 = (rho2 - rho1 * w) / sq
     t12 = (rho1 - rho2 * w) / sq
-    out = np.exp(-0.5 * (rho1 * rho1 + rho2 * rho2)) \
-        * _sign_factor(t21, s1) * _sign_factor(t12, s2) * sq
-    return float(out) if out.ndim == 0 else out
+    e = np.exp(-0.5 * (rho1 * rho1 + rho2 * rho2))
+    f21 = {s1: _sign_factor(t21, s1) for s1, _ in signs}
+    f12 = {s2: _sign_factor(t12, s2) for _, s2 in signs}
+    return np.stack([e * f21[s1] * f12[s2] * sq for s1, s2 in signs], -1)
 
 
 def estranged_constant(s1: str, s2: str) -> ConstantResult:
     """Supremum of the sign-term kernel over rho1, rho2 >= 0 and |w| < 1."""
-    def batch(pts: np.ndarray) -> np.ndarray:
-        return estranged_integrand(pts[:, 0], pts[:, 1], pts[:, 2], s1, s2)
+    return estranged_constants([(s1, s2)])[0]
 
-    res = maximize_box(batch, [(0.0, RHO_MAX), (0.0, RHO_MAX),
-                               (-1.0 + W_EDGE, 1.0 - W_EDGE)])
-    return ConstantResult(value=res.value, argmax=res.argmax,
-                          context={"signs": s1 + s2}, diagnostics=res)
+
+def estranged_constants(signs=("--", "+-", "-+", "++")) -> list[ConstantResult]:
+    """The constant of each sign pair, from one grid scan and one lockstep."""
+    results = maximize_boxes(
+        lambda p: _estranged_kernels(p[:, 0], p[:, 1], p[:, 2], signs),
+        [(0.0, RHO_MAX), (0.0, RHO_MAX), (-1.0 + W_EDGE, 1.0 - W_EDGE)])
+    return [ConstantResult(value=res.value, argmax=res.argmax,
+                           context={"signs": s1 + s2}, diagnostics=res)
+            for (s1, s2), res in zip(signs, results)]
 
 
 def estranged_constant_reduced() -> ConstantResult:

@@ -381,18 +381,32 @@ def sequential_maximize_box(f, box, grid_nodes=65):
     return (best_f, best_x, refinements), evaluations
 
 
-def theory_objectives(monkeypatch):
-    """(f, box) of the four estranged_constant kernels and of
-    estranged_constant_reduced, as theory passes them to maximize_box."""
+def stacked_estranged(monkeypatch):
+    """(f, box) as estranged_constants passes them to maximize_boxes: f
+    gives the four sign pairs' kernels as columns."""
     seen = []
+
+    def record(f, box, grid_nodes=65):
+        seen.append((f, box))
+        return mc.maximize_boxes(f, box, grid_nodes)
+
+    monkeypatch.setattr(th, "maximize_boxes", record)
+    th.estranged_constants()
+    return seen[0]
+
+
+def theory_objectives(monkeypatch):
+    """(f, box) of the four estranged kernels, each a column of the kernel
+    estranged_constants passes to maximize_boxes, and of
+    estranged_constant_reduced, as theory passes it to maximize_box."""
+    f, box = stacked_estranged(monkeypatch)
+    seen = [(lambda x, j=j: f(x)[:, j], box) for j in range(4)]
 
     def record(f, box, grid_nodes=65):
         seen.append((f, box))
         return mc.maximize_box(f, box, grid_nodes)
 
     monkeypatch.setattr(th, "maximize_box", record)
-    for signs in ("--", "-+", "+-", "++"):
-        th.estranged_constant(*signs)
     th.estranged_constant_reduced()
     return seen
 
@@ -421,8 +435,9 @@ def test_lockstep_refinement_matches_sequential_scipy(monkeypatch):
     # Nelder-Mead run per start, on the theory's kernels and on smooth,
     # one-dimensional, everywhere-oscillating, non-smooth and constant
     # objectives
-    cases = theory_objectives(monkeypatch) + ORACLE_CASES
-    for f, box in cases:
+    cases = theory_objectives(monkeypatch)
+    assert len(cases) == 5
+    for f, box in cases + ORACLE_CASES:
         res = mc.maximize_box(f, box)
         (value, argmax, refinements), _ = sequential_maximize_box(f, box)
         assert np.float64(res.value).tobytes() == np.float64(value).tobytes()
@@ -439,3 +454,56 @@ def test_oracle_cases_take_shrink_steps():
         starts = mc.REFINE_STARTS
         assert evaluations > starts * (len(box) + 1) \
             + 2 * (refinements - starts)
+
+
+def grid_points(box, grid_nodes=65):
+    axes = [np.linspace(lo, hi, grid_nodes) for lo, hi in box]
+    return np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                    axis=1)
+
+
+def test_start_selection_matches_the_full_sort(monkeypatch):
+    # the partition picks the starts only where the REFINE_STARTS + 1
+    # largest grid values are distinct; elsewhere the sort's order of ties
+    # decides: in (-, -) and (+, +) nine grid points reach the
+    # eighth-largest value, and a plateau, a constant and NaNs tie too
+    f, box = stacked_estranged(monkeypatch)
+    columns = list(f(grid_points(box)).T)
+    plateau_box = ORACLE_CASES[5][1]
+    noisy = np.random.default_rng(4).standard_normal(4225)
+    noisy[[7, 300, 4000]] = np.nan
+    columns += [plateau(grid_points(plateau_box)), np.full(4225, 4.25), noisy,
+                np.random.default_rng(5).standard_normal(4225)]
+    distinct = []
+    for vals in columns:
+        top = np.sort(vals)[::-1][:mc.REFINE_STARTS + 1]
+        distinct.append(bool(np.all(np.isfinite(top))
+                             and np.all(np.diff(top) < 0)))
+        want = np.argsort(vals)[::-1][:mc.REFINE_STARTS]
+        assert np.array_equal(mc._refine_starts(vals), want)
+    assert distinct == [False, True, True, False, False, False, False, True]
+
+
+def test_maximize_boxes_matches_one_call_per_column(monkeypatch):
+    # K stacked objectives refine as K separate maximize_box calls would,
+    # with a block cap that splits every grid into many calls of f
+    groups = [stacked_estranged(monkeypatch) + (4,)]
+    by_box = {}
+    for g, box in ORACLE_CASES:
+        by_box.setdefault(repr(box), (box, []))[1].append(g)
+    for box, fs in by_box.values():
+        groups.append((lambda x, fs=fs: np.stack([g(x) for g in fs], axis=1),
+                       box, len(fs)))
+    assert sorted(k for _, _, k in groups) == [1] * 6 + [2, 4]
+    separate = [[mc.maximize_box(lambda x, f=f, j=j: f(x)[:, j], box)
+                 for j in range(k)] for f, box, k in groups]
+    monkeypatch.setattr(mc, "GRID_BLOCK", 50)
+    for (f, box, k), want in zip(groups, separate):
+        got = mc.maximize_boxes(f, box)
+        assert len(got) == k
+        for a, b in zip(got, want):
+            assert np.float64(a.value).tobytes() \
+                == np.float64(b.value).tobytes()
+            assert a.argmax.tobytes() == b.argmax.tobytes()
+            assert (a.refinements, a.grid_resolution) \
+                == (b.refinements, b.grid_resolution)

@@ -112,6 +112,45 @@ def test_kfacet_probability_sum_identity():
         assert abs(total - 2.0) <= 1e-6
 
 
+def kfacet_probability_two_calls(n, d, k):
+    """kfacet_probability_exact as it was before the node memo, with two
+    log Phi calls on numpy scalars in each integrand evaluation."""
+    m = n - d
+
+    def integrand(y):
+        return math.exp(k * mc.std_normal_log_cdf(y)
+                        + (m - k) * mc.std_normal_log_cdf(-y)
+                        - 0.5 * d * y * y)
+
+    quad = mc.integrate_1d(integrand, -th.INTEGRATION_HALF_WIDTH,
+                           th.INTEGRATION_HALF_WIDTH, rel_tol=1e-11)
+    scale = (1.0 if 2 * k == m else 2.0) * math.exp(mc.log_binomial(m, k)) \
+        * math.sqrt(d / (2.0 * math.pi))
+    return min(max(scale * quad.value, 0.0), 1.0)
+
+
+def test_node_memo_keeps_every_probability():
+    # every m of the exact-profile workload, at both ends of its range of
+    # d: cold (the memo cleared before each integral), while the sweep
+    # fills it, and warm, when no node misses it
+    cases = [(d + m, d, k) for m in (21, 40, 61) for d in (2, 159)
+             for k in range(m + 1)]
+    memo = th._log_phi_pair
+    cold = []
+    for case in cases:
+        memo.cache_clear()
+        cold.append(th.kfacet_probability_exact(*case))
+    memo.cache_clear()
+    filling = [th.kfacet_probability_exact(*case) for case in cases]
+    misses = memo.cache_info().misses
+    warm = [th.kfacet_probability_exact(*case) for case in cases]
+    info = memo.cache_info()
+    assert info.misses == misses and info.currsize <= info.maxsize
+    want = np.array([kfacet_probability_two_calls(*case) for case in cases])
+    for got in (cold, filling, warm):
+        assert np.array(got).tobytes() == want.tobytes()
+
+
 def test_kfacet_input_validation():
     with pytest.raises(ValueError):
         th.kfacet_probability_exact(3, 3, 0)
@@ -287,6 +326,15 @@ def test_estranged_reduced_dominates_w0_slice(reduced):
         lambda rho: np.exp(-rho * rho) * mc.std_normal_cdf(rho) ** 2,
         0.0, 6.0)
     assert reduced.value >= slice_max.value - 1e-12
+
+
+def test_estranged_constants_match_one_pair_calls(estranged):
+    for got in th.estranged_constants():
+        want = estranged[got.context["signs"]]
+        assert np.float64(got.value).tobytes() \
+            == np.float64(want.value).tobytes()
+        assert got.argmax.tobytes() == want.argmax.tobytes()
+        assert got.diagnostics.refinements == want.diagnostics.refinements
 
 
 def test_constant_result_reproducible_at_argmax(estranged):
