@@ -207,9 +207,12 @@ def cmd_kfacets(args) -> Output:
             args.n, args.d, args.trials, args.seed)
         results = [{"k": k, "expectation": ests[k].as_dict()} for k in ks]
     elif args.mode == "reduced":
+        scale = math.comb(args.n, args.d)
+        if scale > sys.float_info.max:  # refused before any draw
+            raise ValueError(f"C(n, d) overflows float64 at n {args.n}, "
+                             f"d {args.d}")
         ests = experiments.reduced_kfacet_profile_probability_mc(
             args.n, args.d, args.trials, args.seed)
-        scale = math.comb(args.n, args.d)
         results = [{"k": k, "probability": ests[k].as_dict(),
                     "implied_expectation": {
                         "mean": ests[k].mean * scale,
@@ -220,6 +223,9 @@ def cmd_kfacets(args) -> Output:
             p = theory.kfacet_probability_exact(args.n, args.d, k)
             log_e = theory.kfacet_log_expectation_from_probability(
                 args.n, args.d, p)
+            if log_e > math.log(sys.float_info.max):
+                raise ValueError(f"E e_{k} overflows float64 at n {args.n}, "
+                                 f"d {args.d}")
             results.append({"k": k, "probability": p,
                             "expectation": math.exp(log_e),
                             "log_expectation": log_e})

@@ -25,6 +25,7 @@ from typing import Callable
 import numpy as np
 
 from . import geometry, theory
+from .geometry import ResourceCapError
 from .mathcore import integrate_1d, simplex_volume
 from .sampling import RngStream, _truncated_coords
 
@@ -33,10 +34,6 @@ SUB_BLOCK = 512  # rows stacked per kernel call
 ESTRANGED_D_CAP = 7  # largest d of estranged_expectation_mc
 PAIR_D_CAP = 10  # largest d of pair_facet_probability_mc
 Z_THRESHOLD = 3.0
-
-
-class ResourceCapError(ValueError):
-    """Requested parameters exceed the configured desk-scale caps."""
 
 
 class TrialError(RuntimeError):
@@ -200,17 +197,15 @@ def kfacet_profile_expectation_mc(n: int, d: int, trials: int,
                                   master_seed: int) -> list[MCEstimate]:
     """Empirical expectation of the whole profile vector (e_0, ..., e_{n-d})."""
     theory._check_kfacet_inputs(n, d, 0)
-    if math.comb(n, d) > geometry.SUBSET_CAP:
-        raise ResourceCapError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
-                               f"the subset cap {geometry.SUBSET_CAP}")
     return _profile_mc(n, geometry.subset_array(n, d), trials, master_seed)
 
 
 def _profile_mc(n: int, subsets: np.ndarray, trials: int,
                 master_seed: int) -> list[MCEstimate]:
     """Mean k-facet counts over ``subsets`` of n Gaussian points, k = 0, ...,
-    n - d."""
+    n - d. The list is checked, against the subset cap too, before any draw."""
     d = subsets.shape[1]
+    subsets = geometry._check_subsets(n, d, subsets)
     return mc_run_vector(_fill_normal, n - d + 1, trials, master_seed,
                          lambda x: geometry.profile_counts(x, subsets),
                          row_shape=(n, d))
@@ -221,8 +216,8 @@ def fixed_subset_kfacet_probability_mc(n: int, d: int, k: int, trials: int,
     """Probability that the first d of n Gaussian points form a k-facet.
 
     The k-facet count over the single subset (0, ..., d-1) is 1 exactly
-    when that subset is a k-facet. One subset is counted per trial, so no
-    subset cap applies.
+    when that subset is a k-facet. One subset is counted per trial, so the
+    subset cap bounds only its n - d outside points.
     """
     theory._check_kfacet_inputs(n, d, k)
     return _profile_mc(n, geometry.subset_array(d, d), trials,
@@ -301,10 +296,14 @@ def pair_facet_probability_mc(d: int, trials: int,
                   row_shape=(n, d))
 
 
+def _z(x: float, mu: float, se: float) -> float:
+    """(x - mu) / se; with se = 0, 0 where x and mu agree and inf otherwise."""
+    return (x - mu) / se if se > 0 else (0.0 if x == mu else math.inf)
+
+
 def _z_report(name: str, theory_value: float, est: MCEstimate,
               details: dict | None = None) -> VerificationReport:
-    z = (est.mean - theory_value) / est.std_error if est.std_error > 0 \
-        else (0.0 if est.mean == theory_value else math.inf)
+    z = _z(est.mean, theory_value, est.std_error)
     return VerificationReport(name=name, theory=theory_value, estimate=est,
                               z=z, threshold=Z_THRESHOLD,
                               passed=abs(z) <= Z_THRESHOLD,
@@ -374,7 +373,7 @@ def verify_truncated_bound(d: int, t: float, trials: int,
 
     est = mc_run(lambda s, row: _truncated_coords(s, row, t), trials,
                  master_seed, simplex_volume, row_shape=(d, d - 1))
-    z = (est.mean - bound) / est.std_error if est.std_error > 0 else math.inf
+    z = _z(est.mean, bound, est.std_error)
     passed = est.mean + Z_THRESHOLD * est.std_error >= bound
     return VerificationReport(name=f"truncated_bound[d={d},t={t}]",
                               theory=bound, estimate=est, z=z,
@@ -442,8 +441,8 @@ def verify_dot_density(d: int, trials: int,
 
     est2, est4 = mc_run_vector(_fill_normal, 2, trials, master_seed, kernel,
                                row_shape=(2, d))
-    z2 = (est2.mean - m2) / est2.std_error
-    z4 = (est4.mean - m4) / est4.std_error
+    z2 = _z(est2.mean, m2, est2.std_error)
+    z4 = _z(est4.mean, m4, est4.std_error)
     worst = z2 if abs(z2) >= abs(z4) else z4
     return VerificationReport(
         name=f"dot_density[d={d}]", theory=m2, estimate=est2, z=worst,
@@ -552,9 +551,9 @@ def verify_kfacet_reductions(cases, trials_full: int, trials_reduced: int,
     for (n, d, k), p in zip(cases, exact):
         est, red = full[n, d][k], reduced[n - d][d][k]
         se_pair = math.sqrt(est.std_error ** 2 + red.std_error ** 2)
-        zs = {"full_vs_exact": (est.mean - p) / est.std_error,
-              "reduced_vs_exact": (red.mean - p) / red.std_error,
-              "full_vs_reduced": (est.mean - red.mean) / se_pair}
+        zs = {"full_vs_exact": _z(est.mean, p, est.std_error),
+              "reduced_vs_exact": _z(red.mean, p, red.std_error),
+              "full_vs_reduced": _z(est.mean, red.mean, se_pair)}
         reports.append(VerificationReport(
             name=f"kfacet_reduction[n={n},d={d},k={k}]", theory=p,
             estimate=est, z=max(zs.values(), key=abs),

@@ -8,6 +8,8 @@ k-facet (exactly k points on one side). Facets of the convex hull are the
 Enumeration is brute force over all C(n, d) subsets, on blocks of point
 sets: profiles, facet masks and the Monte Carlo kernels all count sides
 through ``_side_table``, and a single point set is the block with T = 1.
+One size gate, SUBSET_CAP, bounds C(n, d) in ``subset_array`` and c
+subsets' (d+1)-set table, min(c (n - d), C(n, d + 1)), in ``_check_subsets``.
 Every side comes from ``signed_distances``: the sign of the orientation
 determinant over S u {j} for point j and subset S. ``disjoint_pairs`` is
 the one test of which subsets share no point.
@@ -32,7 +34,11 @@ from .mathcore import (coordinate_scale, degenerate, orientation_signs,
                        signed_volumes)
 
 _BLOCK = 16384  # pairs per numpy call of _side_table and disjoint_pairs
-SUBSET_CAP = 200_000  # largest C(n, d) an enumeration run or audit covers
+SUBSET_CAP = 200_000  # largest subset list or (d+1)-set table built
+
+
+class ResourceCapError(ValueError):
+    """Requested parameters exceed the configured desk-scale caps."""
 
 
 class DegenerateSubsetError(ValueError):
@@ -107,7 +113,11 @@ def _index_array(subsets) -> np.ndarray:
 
 
 def subset_array(n: int, d: int) -> np.ndarray:
-    """All d-subsets of range(n) in lexicographic order, one per row."""
+    """All d-subsets of range(n) in lexicographic order, one per row.
+    C(n, d) > SUBSET_CAP raises ResourceCapError before any is listed."""
+    if math.comb(n, d) > SUBSET_CAP:
+        raise ResourceCapError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
+                               f"the subset cap {SUBSET_CAP}")
     combos = list(itertools.combinations(range(n), d))
     return np.array(combos, dtype=np.intp).reshape(len(combos), d)
 
@@ -184,11 +194,14 @@ class _CheckedSubsets(np.ndarray):
 
 
 def _check_subsets(n: int, d: int, subsets) -> _CheckedSubsets:
-    """The subset list as intp, checked for point sets (n, d)."""
+    """The subset list as intp, checked for point sets (n, d) and the cap."""
     subsets = _index_array(subsets)
     if subsets.ndim != 2 or subsets.shape[1] != d:
         raise ValueError(f"subsets must be a 2-D array of width d = {d}, "
                          f"not of shape {subsets.shape}")
+    if min(len(subsets) * (n - d), math.comb(n, d + 1)) > SUBSET_CAP:
+        raise ResourceCapError(f"C({n}, {d + 1}) = {math.comb(n, d + 1)} "
+                               f"exceeds the subset cap {SUBSET_CAP}")
     checked = subsets.view(_CheckedSubsets)
     checked.table = _orientation_table(n, d, subsets.tobytes())
     return checked
@@ -232,17 +245,13 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
     Yields (rows, below), a slice and a table: below[t, j] counts the points
     outside subset subsets[j] strictly below its hyperplane in point set
     coords[rows][t]; the other n - d - below lie strictly above. The sides come
-    from ``signed_distances``, on the list checked once, in one call per chunk
-    of max(1, _BLOCK // max(c, m)) point sets, so that each numpy call covers
-    at most _BLOCK (point set, subset or set) pairs, for c subsets in m <=
-    min(c (n - d), C(n, d + 1)) distinct (d+1)-sets; the bound is m for the
-    full list and for disjoint subsets. An error names the row of the block.
+    from ``signed_distances`` on the list checked once, one call per chunk of
+    max(1, _BLOCK // max(c, m)) point sets for c subsets in m (d+1)-sets, so
+    each numpy call covers at most _BLOCK pairs. An error names its row.
     """
     t, n, d = coords.shape
     subsets = _check_subsets(n, d, subsets)
-    c = len(subsets)
-    m = min(c * (n - d), math.comb(n, d + 1))
-    step = max(1, _BLOCK // max(1, c, m))
+    step = max(1, _BLOCK // max(1, len(subsets), len(subsets.table[0])))
     for lo in range(0, t, step):
         try:
             sides = signed_distances(coords[lo:lo + step], subsets)
@@ -343,14 +352,11 @@ def general_position_check(ps, max_reported: int = 16
     first max_reported violations in lexicographic order: a set fails by
     the enumeration's own contract code, ``_orientations`` on the full
     subset list. With n <= d the one subset, all n points, fails by the
-    rule of ``mathcore.degenerate`` alone. A negative max_reported, or
-    C(n, d) > SUBSET_CAP, raises ValueError before any table is built."""
+    rule of ``mathcore.degenerate`` alone. A negative max_reported, or C(n, d)
+    or C(n, d + 1) over SUBSET_CAP, raises before any table is built."""
     n, d = ps.n, ps.d
     if max_reported < 0:
         raise ValueError(f"max_reported must be >= 0, not {max_reported}")
-    if math.comb(n, d) > SUBSET_CAP:
-        raise ValueError(f"C({n}, {d}) = {math.comb(n, d)} exceeds "
-                         f"the subset cap {SUBSET_CAP}")
     block = _as_block(ps.coords)
     if n <= d:
         subs = subset_array(n, n)

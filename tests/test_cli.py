@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
+import shlex
 import subprocess
 import sys
 import warnings
@@ -96,6 +98,16 @@ def test_kfacets_exact_line():
     assert code == 0
     payload = json.loads(out)
     assert abs(payload["results"][0]["expectation"] - 2.0) <= 1e-9
+
+
+def test_kfacets_exact_below_the_float64_limit():
+    # C(1200, 600) is past float64, but E e_0 = exp(532.1) is not
+    code, out, err = run_cli(["kfacets", "exact", "--n", "1200", "--d", "600",
+                              "--k", "0"])
+    assert code == 0 and err == ""
+    result = json.loads(out)["results"][0]
+    assert abs(result["log_expectation"] - 532.1) <= 0.05
+    assert result["expectation"] == math.exp(result["log_expectation"])
 
 
 def test_kfacets_mc_all_k_symmetry():
@@ -234,6 +246,19 @@ def test_verify_reduction_suite_token():
     checks = json.loads(out)["checks"]
     assert len(checks) == 4
     assert all(c["name"].startswith("kfacet_reduction") for c in checks)
+
+
+def test_verify_exit_1_on_a_zero_standard_error():
+    # at 10 trials a full leg can hit the same count in every trial; its
+    # se = 0 gives z = inf, a failed check, not a ZeroDivisionError
+    code, out, err = run_cli(["verify", "--suite", "thm32", "--seed", "18",
+                              "--trials", "10"])
+    assert code == 1
+    payload = json.loads(out)
+    assert len(payload["checks"]) == 4
+    assert all(c["name"].startswith("kfacet_reduction")
+               for c in payload["checks"])
+    assert err == "failed: " + ", ".join(payload["failed_checks"]) + "\n"
 
 
 def test_verify_exit_1_on_failure():
@@ -426,6 +451,13 @@ def test_constants_kfacet_alt_exponents_is_gone():
     # the growth factor is finite, but c_alpha_r underflows to 0
     ("constants kfacet --alpha 1e307 --r 0",
      "c_alpha_r is 0.0 at alpha 1e+307"),
+    # counts past float64: exact after its quadrature, reduced before a draw
+    ("kfacets exact --n 1200 --d 600 --k 300",
+     "E e_300 overflows float64 at n 1200, d 600"),
+    ("kfacets exact --n 1200 --d 600 --all-k",
+     "overflows float64 at n 1200, d 600"),
+    ("kfacets reduced --n 1200 --d 600 --k 0 --trials 2",
+     "C(n, d) overflows float64 at n 1200, d 600"),
 ])
 def test_usage_errors_return_2_with_one_message(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -487,3 +519,28 @@ def test_console_script_entry_point():
                            "--d", "0", "--n", "1"],
                           capture_output=True, text=True)
     assert proc.returncode == 2
+
+
+# ------------------------------------------------------------------- README
+
+def _readme_commands():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1]
+    return [line for line in block.split("```", 1)[0].splitlines()
+            if line.startswith("gpoly ")]
+
+
+@pytest.mark.parametrize("line", _readme_commands())
+def test_readme_cli_commands_parse(line, capsys):
+    # parsed only, not run: a flag or value the parser rejects fails here
+    argv = shlex.split(line, comments=True)[1:]
+    try:
+        cli._build_parser().parse_args(argv)
+    except SystemExit:
+        pytest.fail(f"the parser rejects {line!r}: {capsys.readouterr().err}")
+
+
+def test_readme_cli_block_shows_every_command():
+    shown = {line.split()[1] for line in _readme_commands()}
+    assert shown == {"sample", "kfacets", "constants", "estranged", "verify",
+                     "growth"}

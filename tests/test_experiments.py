@@ -7,7 +7,7 @@ from gpoly import experiments as ex
 from gpoly import geometry
 from gpoly import theory as th
 from gpoly.mathcore import simplex_volume
-from gpoly.sampling import RngStream, stream
+from gpoly.sampling import RngStream, gaussian_point_set, stream
 
 
 # -------------------------------------------------------------------- mc_run
@@ -367,6 +367,56 @@ def test_gaussian_simplex_reports_match_stand_alone_runs():
 def test_subset_cap_enforced():
     with pytest.raises(ex.ResourceCapError):
         ex.kfacet_expectation_mc(30, 10, 0, trials=10, master_seed=0)
+
+
+def _full(fn):
+    return lambda ps: fn(ps.coords, geometry.subset_array(ps.n, ps.d))
+
+
+GATED = {
+    "profile_counts": lambda ps: geometry.profile_counts(ps.coords),
+    "facet_set": geometry.facet_set,
+    "kfacet_profile": geometry.kfacet_profile,
+    "facet_mask": _full(geometry.facet_mask),
+    "signed_distances": _full(geometry.signed_distances),
+    "general_position_check": geometry.general_position_check,
+    "kfacet_profile_expectation_mc":
+        lambda ps: ex.kfacet_profile_expectation_mc(ps.n, ps.d, 2, 1),
+}
+
+
+@pytest.mark.parametrize("n, d", [(1000, 1), (250, 2)])
+@pytest.mark.parametrize("name", list(GATED))
+def test_the_gate_refuses_a_table_past_the_subset_cap(name, n, d,
+                                                      monkeypatch):
+    # C(n, d) subsets fit the cap, but their C(n, d + 1) sets do not: every
+    # entry point refuses before the table is built or a point is drawn
+    draws = []
+    monkeypatch.setattr(ex, "_fill_normal", lambda s, row: draws.append(1))
+    ps = gaussian_point_set(stream(4, 0), n, d)
+    before = geometry._orientation_table.cache_info()
+    with pytest.raises(geometry.ResourceCapError,
+                       match=rf"^C\({n}, {d + 1}\) = {math.comb(n, d + 1)} "
+                       rf"exceeds the subset cap {geometry.SUBSET_CAP}$"):
+        GATED[name](ps)
+    assert geometry._orientation_table.cache_info() == before
+    assert draws == []
+
+
+def test_the_gate_admits_the_full_20_10_list():
+    # (20, 10): C(20, 10) = 184,756 subsets in C(20, 11) = 167,960 sets
+    subsets = geometry._check_subsets(20, 10, geometry.subset_array(20, 10))
+    assert len(subsets) == 184_756 and len(subsets.table[0]) == 167_960
+    with pytest.raises(ex.ResourceCapError, match=r"C\(21, 10\) = 352716"):
+        geometry.subset_array(21, 10)
+
+
+def test_the_gate_bounds_one_subset_by_its_outside_points():
+    at_cap = geometry._check_subsets(geometry.SUBSET_CAP + 1, 1, [[0]])
+    assert len(at_cap.table[0]) == geometry.SUBSET_CAP
+    with pytest.raises(ex.ResourceCapError):
+        geometry._check_subsets(geometry.SUBSET_CAP + 2, 1, [[0]])
+    assert ex.ResourceCapError is geometry.ResourceCapError
 
 
 # ------------------------------------------------------------ estranged MCs
