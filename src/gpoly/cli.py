@@ -56,9 +56,20 @@ class Output(NamedTuple):
 
 
 def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2,
-                      separators=(",", ": "),
-                      default=lambda o: o.tolist()) + "\n"
+    """Strict JSON: numpy values as Python values, non-finite floats as null."""
+    return json.dumps(_plain(payload), sort_keys=True, indent=2,
+                      separators=(",", ": "), allow_nan=False) + "\n"
+
+
+def _plain(value):
+    if hasattr(value, "tolist"):  # a numpy array or scalar
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _plain(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
 
 
 def _positive_int(text: str) -> int:

@@ -16,9 +16,10 @@ the one test of which subsets share no point.
 
 One degeneracy contract, in ``_orientations``: a (d+1)-set is degenerate
 when one of its d-subsets fails the rule of ``mathcore.degenerate`` or its
-exact orientation is zero. The enumeration raises on such sets, naming the
-point set's row, rather than tie-break (Gaussian inputs reach them with
-probability zero), and ``general_position_check`` reports every one.
+exact orientation is zero. The enumeration raises its one error type,
+DegeneracyError, on such sets, naming the point set's row, rather than
+tie-break (Gaussian inputs reach them with probability zero), and
+``general_position_check`` reports every one.
 """
 
 from __future__ import annotations
@@ -41,36 +42,23 @@ class ResourceCapError(ValueError):
     """Requested parameters exceed the configured desk-scale caps."""
 
 
-class DegenerateSubsetError(ValueError):
-    """The defining points of a subset are affinely dependent at tolerance.
-
-    ``row`` is the index of the point set in the block that raised (0 for
-    a single point set).
-    """
-
-    def __init__(self, subset, row: int = 0):
-        subset = tuple(int(i) for i in subset)
-        super().__init__(f"affinely dependent subset {subset}")
-        self.subset = subset
-        self.row = int(row)
-
-
 class DegeneracyError(ValueError):
-    """A point outside the subset lies on its hyperplane: their exact
-    orientation is zero.
+    """A subset whose points are affinely dependent at tolerance
+    (``point_index`` None), or a point outside the subset on its
+    hyperplane: their exact orientation is zero.
 
     ``row`` is the index of the point set in the block that raised (0 for
     a single point set).
     """
 
-    def __init__(self, subset, point_index: int, row: int = 0):
-        subset = tuple(int(i) for i in subset)
-        point_index = int(point_index)
-        super().__init__(f"point {point_index} lies on the hyperplane of "
-                         f"subset {subset}")
-        self.subset = subset
-        self.point_index = point_index
+    def __init__(self, subset, point_index: int | None = None, row: int = 0):
+        self.subset = tuple(int(i) for i in subset)
+        self.point_index = None if point_index is None else int(point_index)
         self.row = int(row)
+        super().__init__(
+            f"affinely dependent subset {self.subset}" if point_index is None
+            else f"point {self.point_index} lies on the hyperplane of subset "
+            f"{self.subset}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +124,9 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
 
     Point j and subset S take the sign of det [x_s, 1; x_j, 1], S then j,
     from ``_orientations``. In the first point set that breaks the contract,
-    its first subset that fails the rule raises DegenerateSubsetError, else
-    its first (subset, point) of zero orientation raises DegeneracyError,
-    each naming the point set's row.
+    its first subset that fails the rule raises DegeneracyError with no
+    point, else its first (subset, point) of zero orientation raises it with
+    that point, each naming the point set's row.
     """
     block = _as_block(coords)
     t, n, d = block.shape
@@ -148,7 +136,7 @@ def signed_distances(coords: np.ndarray, subsets: np.ndarray) -> np.ndarray:
     dets, bad = _orientations(block, subsets)
     for r in np.flatnonzero(bad.any(axis=1) | (dets == 0).any(axis=1))[:1]:
         if bad[r].any():
-            raise DegenerateSubsetError(subsets[np.argmax(bad[r])], r)
+            raise DegeneracyError(subsets[np.argmax(bad[r])], row=r)
         zero = outside[np.take(dets[r], index).ravel() == 0]
         raise DegeneracyError(subsets[zero[0] // n], zero[0] % n, r)
     neg = (np.take(dets < 0, index, axis=1) ^ flip).view(np.int8)
@@ -255,7 +243,7 @@ def _side_table(coords: np.ndarray, subsets: np.ndarray):
     for lo in range(0, t, step):
         try:
             sides = signed_distances(coords[lo:lo + step], subsets)
-        except (DegenerateSubsetError, DegeneracyError) as err:
+        except DegeneracyError as err:
             err.row += lo
             raise
         # einsum counts along the short last axis in half the time of sum

@@ -1,7 +1,6 @@
 """Numeric substrate: the degeneracy rule, the signed-volume kernel and its
-exact fallback, full-dimensional simplex volumes, Gaussian special
-functions, adaptive 1-D quadrature, and derivative-free maximization over
-boxes.
+exact fallback, full-dimensional simplex volumes, log binomials, adaptive
+1-D quadrature, and derivative-free maximization over boxes.
 
 Everything here is a pure function of its inputs. One rule, with one
 tolerance, decides every dependent subset in the package (``degenerate``),
@@ -91,38 +90,33 @@ def orientation_signs(points) -> np.ndarray:
     """Exact signs of det [x_i, 1] over the rows x_i of each (d + 1, d)
     matrix of a block (..., d + 1, d), each coordinate the dyadic rational
     it stores: ``np.frexp`` scales each lifted matrix to integers by a
-    power of 2, and fraction-free elimination (Bareiss 1968) takes the
-    sign in exact integer arithmetic."""
+    power of 2, and fraction-free elimination (Bareiss 1968) runs on all of
+    them at once, in object arrays of Python ints. Each step swaps up a
+    nonzero pivot per matrix, or marks the matrix singular, and divides
+    exactly by the last pivot, which ends as the determinant up to the
+    sign of the swaps."""
     pts = np.asarray(points, dtype=float)
     if not np.all(np.isfinite(pts)):
         raise ValueError("matrix entries must be finite")
     lifted = np.concatenate([pts, np.ones(pts.shape[:-1] + (1,))], axis=-1)
     mant, exp = np.frexp(lifted.reshape((-1,) + lifted.shape[-2:]))
     ints = (mant * 2.0 ** 53).astype(np.int64)  # entry = ints 2^(exp - 53)
-    shift = exp - exp.min(axis=(1, 2), keepdims=True)
-    signs = [_bareiss_sign([[v << s for v, s in zip(*row)]
-                            for row in zip(*mat)])
-             for mat in zip(ints.tolist(), shift.tolist())]
-    return np.array(signs, dtype=int).reshape(pts.shape[:-2])
-
-
-def _bareiss_sign(m: list) -> int:
-    """Sign of the determinant of the integer rows ``m``: each step divides
-    exactly by the last pivot, and the final pivot is the determinant up
-    to the sign of the row swaps."""
-    sign, pivot = 1, 1
-    while m:
-        p = next((r for r, row in enumerate(m) if row[0]), None)
-        if p is None:
-            return 0
-        if p:
-            m[0], m[p] = m[p], m[0]
-            sign = -sign
-        top, head = m[0], m[0][0]
-        m = [[(a * head - row[0] * b) // pivot
-              for a, b in zip(row[1:], top[1:])] for row in m[1:]]
+    m = ints.astype(object) << (exp - exp.min(axis=(1, 2), keepdims=True))
+    every = np.arange(len(m))
+    sign, pivot = np.ones(len(m), dtype=int), np.ones(len(m), dtype=object)
+    for k in range(m.shape[1]):
+        nonzero = m[:, k:, k] != 0
+        found = nonzero.any(axis=1)
+        sign[~found] = 0
+        p = k + np.argmax(nonzero, axis=1)
+        sign[p != k] *= -1
+        m[every, k], m[every, p] = m[every, p], m[every, k]
+        head = np.where(found, m[:, k, k], 1)  # 1: a singular one goes on
+        m[:, k + 1:, k + 1:] = (m[:, k + 1:, k + 1:] * head[:, None, None]
+                                - m[:, k + 1:, k:k + 1] * m[:, k:k + 1, k + 1:]
+                                ) // pivot[:, None, None]
         pivot = head
-    return sign if pivot > 0 else -sign
+    return (sign * np.sign(pivot).astype(int)).reshape(pts.shape[:-2])
 
 
 def simplex_volume(points):
@@ -157,27 +151,6 @@ def simplex_volume(points):
     dets[rows[degenerate(sv, scale[rows])]] = 0.0
     vols = np.abs(dets) / math.factorial(d)
     return float(vols[0]) if pts.ndim == 2 else vols
-
-
-def std_normal_cdf(y):
-    """Phi(y), evaluated through the complementary error function.
-
-    Stable in both tails; needed because downstream integrands raise
-    (1 - Phi) to powers of order d.
-    """
-    return special.ndtr(y)
-
-
-def std_normal_log_cdf(y):
-    """log Phi(y) without underflow in the left tail."""
-    return special.log_ndtr(y)
-
-
-def log_gamma(x) -> float:
-    """ln Gamma(x) for x > 0."""
-    if np.any(np.asarray(x) <= 0):
-        raise ValueError("log_gamma requires x > 0")
-    return special.gammaln(x)
 
 
 def log_binomial(n: int, k: int) -> float:

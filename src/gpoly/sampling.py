@@ -128,13 +128,11 @@ class RngStream:
     much.
     """
 
-    __slots__ = ("master_seed", "stream_id", "_bitgen", "generator", "_key",
-                 "_load")
+    __slots__ = ("_bitgen", "generator", "_key", "_load")
 
     def __init__(self, master_seed: int, stream_id: int):
-        self.master_seed = int(master_seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        key = np.array([self.master_seed, self.stream_id], dtype=np.uint64)
+        key = np.array([int(master_seed) & _MASK64, int(stream_id) & _MASK64],
+                       dtype=np.uint64)
         self._bitgen = Philox(key=key)
         self.generator = Generator(self._bitgen)
         # The getter copies the state of the fresh generator: its counter is
@@ -152,11 +150,13 @@ class RngStream:
             self._load = functools.partial(words.__setitem__, Ellipsis,
                                            template)
 
+    master_seed = property(lambda self: int(self._key[0]))
+    stream_id = property(lambda self: int(self._key[1]))
+
     def reset(self, master_seed: int, stream_id: int) -> "RngStream":
-        self.master_seed = int(master_seed) & _MASK64
-        self.stream_id = int(stream_id) & _MASK64
-        self._key[0] = self.master_seed
-        self._key[1] = self.stream_id
+        """Rewind to the key (master_seed, stream_id), two Python ints."""
+        self._key[0] = master_seed & _MASK64
+        self._key[1] = stream_id & _MASK64
         self._load()
         return self
 

@@ -13,21 +13,18 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
+from scipy.special import gammaln, log_ndtr, ndtr
 
 from .mathcore import (
     MaximizeResult,
     QuadratureError,
     integrate_1d,
     log_binomial,
-    log_gamma,
     maximize_1d,
     maximize_box,
     maximize_boxes,
-    std_normal_cdf,
-    std_normal_log_cdf,
 )
 
 INTEGRATION_HALF_WIDTH = 12.0  # phi(12)^d underflows any contribution
@@ -102,7 +99,7 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
 def _log_phi_pair(y: float) -> tuple[float, float]:
     """(log Phi(y), log Phi(-y)) as Python floats, memoised: QUADPACK bisects
     [-12, 12] at midpoints, so all k-facet integrals share a few hundred y."""
-    return float(std_normal_log_cdf(y)), float(std_normal_log_cdf(-y))
+    return float(log_ndtr(y)), float(log_ndtr(-y))
 
 
 def kfacet_log_expectation_exact(n: int, d: int, k: int) -> float:
@@ -145,8 +142,8 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
 
     def objective(y: np.ndarray) -> np.ndarray:
-        la = e1 * std_normal_log_cdf(y) if e1 != 0.0 else 0.0
-        lb = e2 * std_normal_log_cdf(-y) if e2 != 0.0 else 0.0
+        la = e1 * log_ndtr(y) if e1 != 0.0 else 0.0
+        lb = e2 * log_ndtr(-y) if e2 != 0.0 else 0.0
         # math.exp: np.exp can differ from it in the last bit
         return np.array([math.exp(v) for v in (la + lb - 0.5 * y * y).tolist()]
                         ) / math.sqrt(2.0 * math.pi)
@@ -188,7 +185,7 @@ def growth_factor(alpha: float, r: float) -> float:
 def _sign_factor(t, sign: str):
     if sign not in ("-", "+"):
         raise ValueError(f"sign must be '-' or '+', got {sign!r}")
-    return std_normal_cdf(t if sign == "-" else -t)  # '+': 1 - Phi(t), stably
+    return ndtr(t if sign == "-" else -t)  # '+': 1 - Phi(t), stably
 
 
 def estranged_integrand(rho1, rho2, w, s1: str, s2: str):
@@ -242,7 +239,7 @@ def estranged_constant_reduced() -> ConstantResult:
     def batch(pts: np.ndarray) -> np.ndarray:
         rho, w = pts[:, 0], pts[:, 1]
         sq = np.sqrt(1.0 - w * w)
-        return np.exp(-rho * rho) * std_normal_cdf(rho * (1.0 - w) / sq) ** 2 * sq
+        return np.exp(-rho * rho) * ndtr(rho * (1.0 - w) / sq) ** 2 * sq
 
     res = maximize_box(batch, [(0.0, RHO_MAX), (-1.0 + W_EDGE, 1.0 - W_EDGE)])
     return ConstantResult(value=res.value, argmax=res.argmax,
@@ -268,28 +265,17 @@ def dot_density(w, d: int):
 @functools.cache
 def _dot_density_constant(d: int) -> float:
     """Gamma(d/2) / (sqrt(pi) Gamma((d-1)/2)), computed once per d."""
-    return math.exp(log_gamma(d / 2.0) - log_gamma((d - 1) / 2.0)
+    return math.exp(gammaln(d / 2.0) - gammaln((d - 1) / 2.0)
                     - 0.5 * math.log(math.pi))
 
 
-class GaussianSimplexVolume(NamedTuple):
-    value: float
-    asymptotic: float
-
-
-def gaussian_simplex_expected_volume(d: int) -> GaussianSimplexVolume:
-    """Expected volume of the simplex on d+1 i.i.d. Gaussian points in R^d.
-
-    Exact value sqrt(d+1) / (2^(d/2) Gamma(d/2 + 1)), together with its
-    large-d proxy (e/d)^(d/2) / sqrt(pi).
-    """
+def gaussian_simplex_expected_volume(d: int) -> float:
+    """Expected volume of the simplex on d+1 i.i.d. Gaussian points in R^d:
+    sqrt(d+1) / (2^(d/2) Gamma(d/2 + 1))."""
     if d < 1:
         raise ValueError("need d >= 1")
-    value = math.exp(0.5 * math.log(d + 1.0) - 0.5 * d * math.log(2.0)
-                     - log_gamma(d / 2.0 + 1.0))
-    asymptotic = math.exp(-0.5 * math.log(math.pi)
-                          + 0.5 * d * (1.0 - math.log(d)))
-    return GaussianSimplexVolume(value=value, asymptotic=asymptotic)
+    return math.exp(0.5 * math.log(d + 1.0) - 0.5 * d * math.log(2.0)
+                    - gammaln(d / 2.0 + 1.0))
 
 
 def truncated_simplex_lower_bound(d: int) -> float:
@@ -302,4 +288,4 @@ def truncated_simplex_lower_bound(d: int) -> float:
     if d < 2:
         raise ValueError("need d >= 2")
     return math.exp(0.5 * math.log1p(-2.0 / math.pi) + 0.5 * math.log(d)
-                    - 0.5 * (d + 5) * math.log(2.0) - log_gamma((d + 1) / 2.0))
+                    - 0.5 * (d + 5) * math.log(2.0) - gammaln((d + 1) / 2.0))

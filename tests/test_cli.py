@@ -401,6 +401,24 @@ def test_stdout_matches_fixture(command):
     assert out == PARENT_STDOUT[command]
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not strict JSON")
+
+
+def test_stdout_is_strict_json():
+    # a zero standard error gives an infinite z, which prints as null, and
+    # no fixture command prints an Infinity or NaN token
+    code, out, _ = run_cli(["verify", "--suite", "thm32", "--trials", "10",
+                            "--seed", "18"])
+    assert code == 1
+    checks = json.loads(out, parse_constant=_refuse)["checks"]
+    assert None in [c["z"] for c in checks]
+    assert None in [c["details"]["full_vs_exact"] for c in checks]
+    for command, text in PARENT_STDOUT.items():
+        if not command.startswith("growth"):  # CSV
+            json.loads(text, parse_constant=_refuse)
+
+
 def test_constants_kfacet_c_alpha_r_calls(monkeypatch):
     # the growth base reuses c
     plain = theory.c_alpha_r

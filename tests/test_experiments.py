@@ -290,7 +290,7 @@ def _spoil(stream_id, point, value):
      lambda x: _exact_midpoint(x), geometry.DegeneracyError, (0, 1), 2),
     # point 1 on top of point 0: only the SVD fallback sees the dependence
     (lambda: ex.pair_facet_probability_mc(2, 2 * ex.CHUNK, 3), 4, 1,
-     lambda x: x[0], geometry.DegenerateSubsetError, (0, 1), None),
+     lambda x: x[0], geometry.DegeneracyError, (0, 1), None),
 ])
 def test_enumeration_degenerate_row_names_the_trial(
         monkeypatch, run, n, point, value, error, subset, point_index):

@@ -116,9 +116,9 @@ def test_hyperplane_degenerate_subset():
     # path finds the dependence
     ps = PointSet.from_coords([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                                [2.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    with pytest.raises(geo.DegenerateSubsetError) as err:
+    with pytest.raises(geo.DegeneracyError) as err:
         geo.signed_distances(ps.coords, np.array([[0, 1, 2]]))
-    assert err.value.subset == (0, 1, 2)
+    assert (err.value.subset, err.value.point_index) == ((0, 1, 2), None)
 
 
 # -------------------------------------------------------------- side counts
@@ -221,9 +221,10 @@ def test_block_errors_come_in_point_set_order():
     assert (err.value.row, err.value.subset, err.value.point_index) \
         == (1, (0, 2), 4)
     for rows, row in ((block[2:], 0), (block[[0, 3, 2]], 2)):
-        with pytest.raises(geo.DegenerateSubsetError) as err:
+        with pytest.raises(geo.DegeneracyError) as err:
             geo.profile_counts(rows)
-        assert (err.value.row, err.value.subset) == (row, (0, 1))
+        assert (err.value.row, err.value.subset, err.value.point_index) \
+            == (row, (0, 1), None)
 
 
 def test_block_counts_match_point_sets():
@@ -269,8 +270,9 @@ def test_profile_with_no_outside_point():
     # it, with a side count of 0 or by the dependence rule
     for d in (1, 3):
         assert geo.profile_counts(gauss(d, d, d).coords).tolist() == [1]
-    with pytest.raises(geo.DegenerateSubsetError):
+    with pytest.raises(geo.DegeneracyError) as err:
         geo.profile_counts(np.array([[1.0, 2.0], [1.0, 2.0]]))
+    assert err.value.point_index is None
 
 
 def test_empty_subset_list():
@@ -535,6 +537,10 @@ def test_general_position_is_exhaustive_above_16_points():
     assert rows.min() >= 0 and rows.max() < 40
     assert np.array_equal(rows, geo.subset_array(40, 4)[:10_000])
     assert runs[1] == runs[0]
+    # at the default max_reported, the first 16 sets in lexicographic order
+    first = [tuple(s) for s in geo.subset_array(40, 4)[:16].tolist()]
+    assert geo.general_position_check(PointSet.from_coords(flat)) == \
+        geo.GeneralPositionReport(False, first, math.comb(40, 4))
 
 
 def test_general_position_finds_the_one_coplanar_set_of_40_points():
@@ -580,9 +586,10 @@ def test_short_edge_raises_on_the_edge():
     for call in (lambda: geo.kfacet_profile(ps),
                  lambda: geo.profile_counts(coords),
                  lambda: geo.facet_mask(coords, subsets)):
-        with pytest.raises(geo.DegenerateSubsetError) as err:
+        with pytest.raises(geo.DegeneracyError) as err:
             call()
-        assert (err.value.row, err.value.subset) == (0, (0, 1))
+        assert (err.value.row, err.value.subset, err.value.point_index) \
+            == (0, (0, 1), None)
 
 
 def test_hull_through_anchor_names_the_anchor():
@@ -650,7 +657,7 @@ def contract_error(coords, subsets):
     for s in subsets:
         sv = np.linalg.svd(coords[s[1:]] - coords[s[:1]], compute_uv=False)
         if degenerate(sv, scale):
-            return geo.DegenerateSubsetError(s), None
+            return geo.DegeneracyError(s), None
     signs = exact_orientations(coords, subsets)
     for s, row in zip(subsets, signs):
         for j in sorted(set(range(len(coords))) - set(s)):
@@ -679,7 +686,7 @@ def assert_contract(coords, subsets):
     try:
         got = geo.profile_counts(coords, subsets), \
             geo.facet_mask(coords, subsets)
-    except (geo.DegeneracyError, geo.DegenerateSubsetError) as err:
+    except geo.DegeneracyError as err:
         assert type(err) is type(want) and vars(err) == vars(want)
         return
     assert want is None
@@ -696,9 +703,10 @@ def test_one_subset_call_sees_a_dependent_subset():
     coords[2] = 0.3 * coords[0] + 0.7 * coords[1] + [0.0, 0.0, 1e-12]
     assert geo.general_position_check(PointSet.from_coords(coords)
                                       ).violations[0][:3] == (0, 1, 2)
-    with pytest.raises(geo.DegenerateSubsetError) as err:
+    with pytest.raises(geo.DegeneracyError) as err:
         geo.profile_counts(coords, geo.subset_array(3, 3))
-    assert (err.value.row, err.value.subset) == (0, (0, 1, 2))
+    assert (err.value.row, err.value.subset, err.value.point_index) \
+        == (0, (0, 1, 2), None)
 
 
 def test_point_near_a_hyperplane_counts_by_its_orientation():
@@ -803,7 +811,7 @@ def test_only_uncovered_subsets_reach_the_svd(monkeypatch):
     rest = uncovered_subsets(coords, subsets)
     assert rest.tolist() == [[0, 1]]
     seen.clear()
-    with pytest.raises(geo.DegenerateSubsetError) as err:
+    with pytest.raises(geo.DegeneracyError) as err:
         geo.profile_counts(coords, subsets)
     assert len(seen) == 1 and np.array_equal(seen[0], coords[rest])
     want, _ = contract_error(coords, subsets)
@@ -839,7 +847,7 @@ def test_audit_agrees_with_the_enumeration(d, extra, seed, kind, exponent):
     try:
         geo.profile_counts(coords)
         completes = True
-    except (geo.DegeneracyError, geo.DegenerateSubsetError):
+    except geo.DegeneracyError:
         completes = False
     assert geo.general_position_check(
         PointSet.from_coords(coords)).passed == completes

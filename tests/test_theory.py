@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.stats import norm
 
 from gpoly import mathcore as mc
@@ -118,8 +119,8 @@ def kfacet_probability_two_calls(n, d, k):
     m = n - d
 
     def integrand(y):
-        return math.exp(k * mc.std_normal_log_cdf(y)
-                        + (m - k) * mc.std_normal_log_cdf(-y)
+        return math.exp(k * special.log_ndtr(y)
+                        + (m - k) * special.log_ndtr(-y)
                         - 0.5 * d * y * y)
 
     quad = mc.integrate_1d(integrand, -th.INTEGRATION_HALF_WIDTH,
@@ -177,7 +178,7 @@ def test_c_alpha_r_reflection_symmetry():
 
 def test_c_alpha_r_against_dense_grid_oracle():
     ys = np.linspace(-12.0, 12.0, 1_000_001)
-    f = (1.0 - mc.std_normal_cdf(ys)) * norm.pdf(ys)
+    f = (1.0 - special.ndtr(ys)) * norm.pdf(ys)
     i = int(np.argmax(f))
     res = th.c_alpha_r(2.0, 0.0)
     assert res.value >= f[i]
@@ -211,8 +212,8 @@ def scalar_c_objective(alpha, r):
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
 
     def objective(y):
-        la = e1 * mc.std_normal_log_cdf(y) if e1 != 0.0 else 0.0
-        lb = e2 * mc.std_normal_log_cdf(-y) if e2 != 0.0 else 0.0
+        la = e1 * special.log_ndtr(y) if e1 != 0.0 else 0.0
+        lb = e2 * special.log_ndtr(-y) if e2 != 0.0 else 0.0
         return math.exp(la + lb - 0.5 * y * y) / math.sqrt(2.0 * math.pi)
 
     return objective
@@ -256,7 +257,7 @@ def test_growth_base_exact_midpoint():
 def test_growth_base_facet_case():
     # 4 * sqrt(2 pi) * c(2, 0), with c from the dense-grid oracle
     ys = np.linspace(-12.0, 12.0, 1_000_001)
-    c = float(np.max((1.0 - mc.std_normal_cdf(ys)) * norm.pdf(ys)))
+    c = float(np.max((1.0 - special.ndtr(ys)) * norm.pdf(ys)))
     target = 4.0 * math.sqrt(2 * math.pi) * c
     assert abs(th.growth_base_kfacet(2.0, 0.0) - target) <= 1e-7
     assert abs(th.growth_base_kfacet(2.0, 0.0) - 2.4409) <= 2e-3
@@ -323,7 +324,7 @@ def test_estranged_four_c(reduced):
 
 def test_estranged_reduced_dominates_w0_slice(reduced):
     slice_max = mc.maximize_1d(
-        lambda rho: np.exp(-rho * rho) * mc.std_normal_cdf(rho) ** 2,
+        lambda rho: np.exp(-rho * rho) * special.ndtr(rho) ** 2,
         0.0, 6.0)
     assert reduced.value >= slice_max.value - 1e-12
 
@@ -427,9 +428,9 @@ def test_dot_density_domain():
 # ------------------------------------------------------------ simplex volumes
 
 def test_gaussian_simplex_expected_volume_values():
-    assert abs(th.gaussian_simplex_expected_volume(1).value
+    assert abs(th.gaussian_simplex_expected_volume(1)
                - 2.0 / math.sqrt(math.pi)) <= 1e-14
-    assert abs(th.gaussian_simplex_expected_volume(2).value
+    assert abs(th.gaussian_simplex_expected_volume(2)
                - math.sqrt(3.0) / 2.0) <= 1e-14
 
 
@@ -439,12 +440,7 @@ def test_gaussian_simplex_volume_monte_carlo_cross_check():
             for _ in range(20_000)]
     se = np.std(vols) / math.sqrt(len(vols))
     assert abs(np.mean(vols)
-               - th.gaussian_simplex_expected_volume(2).value) <= 3 * se
-
-
-def test_gaussian_simplex_asymptotic_ratio():
-    res = th.gaussian_simplex_expected_volume(40)
-    assert abs(res.value / res.asymptotic - 1.0) <= 0.05
+               - th.gaussian_simplex_expected_volume(2)) <= 3 * se
 
 
 def test_truncated_bound_value():
@@ -460,7 +456,7 @@ def test_truncated_bound_below_untruncated_mean():
     # the same simplex (d points in R^(d-1))
     for d in range(2, 21):
         untruncated = math.exp(0.5 * math.log(d) - 0.5 * (d - 1) * math.log(2)
-                               - mc.log_gamma((d + 1) / 2.0))
+                               - special.gammaln((d + 1) / 2.0))
         assert th.truncated_simplex_lower_bound(d) <= untruncated
 
 
