@@ -39,7 +39,6 @@ from .theory import (
     dot_density,
     estranged_constant,
     estranged_constant_reduced,
-    estranged_integrand,
     gaussian_simplex_expected_volume,
     growth_base_kfacet,
     kfacet_expectation_exact,

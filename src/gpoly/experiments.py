@@ -19,7 +19,7 @@ and a closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -64,9 +64,7 @@ class MCEstimate:
                    ci95=(mean - 1.96 * std_error, mean + 1.96 * std_error))
 
     def as_dict(self) -> dict:
-        return {"mean": self.mean, "variance": self.variance,
-                "trials": self.trials, "std_error": self.std_error,
-                "ci95": [self.ci95[0], self.ci95[1]]}
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -82,11 +80,7 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {"name": self.name, "theory": self.theory,
-                "estimate": None if self.estimate is None
-                else self.estimate.as_dict(),
-                "z": self.z, "threshold": self.threshold,
-                "passed": self.passed, "details": self.details}
+        return asdict(self)
 
 
 Kernel = Callable[[np.ndarray], np.ndarray]
@@ -301,13 +295,18 @@ def _z(x: float, mu: float, se: float) -> float:
     return (x - mu) / se if se > 0 else (0.0 if x == mu else math.inf)
 
 
-def _z_report(name: str, theory_value: float, est: MCEstimate,
-              details: dict | None = None) -> VerificationReport:
-    z = _z(est.mean, theory_value, est.std_error)
+def _report(name: str, theory_value: float, est: MCEstimate | None, zs,
+            details: dict, *, passed: bool | None = None,
+            threshold: float = Z_THRESHOLD) -> VerificationReport:
+    """The verdict rule: z is the first z of largest |z| (None without one),
+    and the check passes when every |z| <= threshold, unless ``passed``
+    says otherwise."""
+    if passed is None:
+        passed = all(abs(z) <= threshold for z in zs)
     return VerificationReport(name=name, theory=theory_value, estimate=est,
-                              z=z, threshold=Z_THRESHOLD,
-                              passed=abs(z) <= Z_THRESHOLD,
-                              details=details or {})
+                              z=max(zs, key=abs, default=None),
+                              threshold=threshold, passed=passed,
+                              details=details)
 
 
 def verify_blaschke(d: int, trials: int, master_seed: int,
@@ -332,8 +331,8 @@ def verify_gaussian_simplex(d: int, trials: int, master_seed: int
     from one run on the same simplices."""
     blaschke, vol = _blaschke(d, trials, master_seed, "gaussian")
     target = theory.gaussian_simplex_expected_volume(d)
-    return blaschke, _z_report(f"simplex_volume[d={d}]", target, vol,
-                               {"d": d})
+    return blaschke, _report(f"simplex_volume[d={d}]", target, vol,
+                             [_z(vol.mean, target, vol.std_error)], {"d": d})
 
 
 def _blaschke(d: int, trials: int, master_seed: int, distribution: str
@@ -352,10 +351,11 @@ def _blaschke(d: int, trials: int, master_seed: int, distribution: str
 
     sq, vol = mc_run_vector(draw, 2, trials, master_seed, kernel,
                             row_shape=(d + 1, d))
-    return _z_report(f"blaschke[{distribution},d={d}]",
-                     (d + 1) / math.factorial(d) * det_cov, sq,
-                     {"det_cov": det_cov, "d": d,
-                      "distribution": distribution}), vol
+    target = (d + 1) / math.factorial(d) * det_cov
+    return _report(f"blaschke[{distribution},d={d}]", target, sq,
+                   [_z(sq.mean, target, sq.std_error)],
+                   {"det_cov": det_cov, "d": d,
+                    "distribution": distribution}), vol
 
 
 def verify_truncated_bound(d: int, t: float, trials: int,
@@ -365,20 +365,15 @@ def verify_truncated_bound(d: int, t: float, trials: int,
     Passes when the empirical mean plus 3 standard errors is at least the
     bound (the bound is a one-sided guarantee, not an equality).
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    bound = theory.truncated_simplex_lower_bound(d)  # refuses d < 2
     if not t >= 0:  # NaN too: no row would pass the rejection test
         raise ValueError(f"need t >= 0, got {t}")
-    bound = theory.truncated_simplex_lower_bound(d)
-
     est = mc_run(lambda s, row: _truncated_coords(s, row, t), trials,
                  master_seed, simplex_volume, row_shape=(d, d - 1))
-    z = _z(est.mean, bound, est.std_error)
-    passed = est.mean + Z_THRESHOLD * est.std_error >= bound
-    return VerificationReport(name=f"truncated_bound[d={d},t={t}]",
-                              theory=bound, estimate=est, z=z,
-                              threshold=Z_THRESHOLD, passed=passed,
-                              details={"d": d, "t": t, "one_sided": True})
+    return _report(f"truncated_bound[d={d},t={t}]", bound, est,
+                   [_z(est.mean, bound, est.std_error)],
+                   {"d": d, "t": t, "one_sided": True},
+                   passed=est.mean + Z_THRESHOLD * est.std_error >= bound)
 
 
 LOGCONCAVE_FAMILIES = ("uniform", "gaussian", "truncated-gaussian", "laplace")
@@ -414,12 +409,11 @@ def verify_logconcave_moment(family: str, trials: int,
     high_sq = sq_est.mean + Z_THRESHOLD * sq_est.std_error
     ratio = abs_est.mean / math.sqrt(sq_est.mean)
     conservative = low_abs / math.sqrt(high_sq)
-    return VerificationReport(
-        name=f"logconcave_moment[{family}]", theory=0.125, estimate=abs_est,
-        z=None, threshold=Z_THRESHOLD, passed=conservative >= 0.125,
-        details={"family": family, "ratio": ratio,
-                 "conservative_ratio": conservative,
-                 "mean_abs": abs_est.mean, "mean_sq": sq_est.mean})
+    return _report(f"logconcave_moment[{family}]", 0.125, abs_est, [],
+                   {"family": family, "ratio": ratio,
+                    "conservative_ratio": conservative,
+                    "mean_abs": abs_est.mean, "mean_sq": sq_est.mean},
+                   passed=conservative >= 0.125)
 
 
 def verify_dot_density(d: int, trials: int,
@@ -443,13 +437,9 @@ def verify_dot_density(d: int, trials: int,
                                row_shape=(2, d))
     z2 = _z(est2.mean, m2, est2.std_error)
     z4 = _z(est4.mean, m4, est4.std_error)
-    worst = z2 if abs(z2) >= abs(z4) else z4
-    return VerificationReport(
-        name=f"dot_density[d={d}]", theory=m2, estimate=est2, z=worst,
-        threshold=Z_THRESHOLD,
-        passed=abs(z2) <= Z_THRESHOLD and abs(z4) <= Z_THRESHOLD,
-        details={"d": d, "moment2_theory": m2, "moment4_theory": m4,
-                 "moment4_estimate": est4.as_dict(), "z2": z2, "z4": z4})
+    return _report(f"dot_density[d={d}]", m2, est2, [z2, z4],
+                   {"d": d, "moment2_theory": m2, "moment4_theory": m4,
+                    "moment4_estimate": est4.as_dict(), "z2": z2, "z4": z4})
 
 
 def verify_lp_limit(p_values=(10, 100, 1000)) -> VerificationReport:
@@ -461,6 +451,8 @@ def verify_lp_limit(p_values=(10, 100, 1000)) -> VerificationReport:
     for p of a few hundred.
     """
     p_values = sorted(p_values)
+    if not p_values or not all(0 < p < math.inf for p in p_values):
+        raise ValueError(f"need finite p > 0, got {p_values}")
     limit = 1.0 / math.sqrt(2.0 * math.pi)
     values = []
     for p in p_values:
@@ -470,11 +462,10 @@ def verify_lp_limit(p_values=(10, 100, 1000)) -> VerificationReport:
         values.append(limit * quad.value ** (1.0 / p))
     increasing = all(values[i] < values[i + 1] for i in range(len(values) - 1))
     close = abs(values[-1] - limit) <= 0.01
-    return VerificationReport(
-        name="lp_limit", theory=limit, estimate=None, z=None,
-        threshold=0.01, passed=increasing and close,
-        details={"p_values": list(p_values), "values": values,
-                 "increasing": increasing, "final_gap": limit - values[-1]})
+    return _report("lp_limit", limit, None, [],
+                   {"p_values": list(p_values), "values": values,
+                    "increasing": increasing, "final_gap": limit - values[-1]},
+                   passed=increasing and close, threshold=0.01)
 
 
 @dataclass(frozen=True)
@@ -554,11 +545,7 @@ def verify_kfacet_reductions(cases, trials_full: int, trials_reduced: int,
         zs = {"full_vs_exact": _z(est.mean, p, est.std_error),
               "reduced_vs_exact": _z(red.mean, p, red.std_error),
               "full_vs_reduced": _z(est.mean, red.mean, se_pair)}
-        reports.append(VerificationReport(
-            name=f"kfacet_reduction[n={n},d={d},k={k}]", theory=p,
-            estimate=est, z=max(zs.values(), key=abs),
-            threshold=Z_THRESHOLD,
-            passed=all(abs(z) <= Z_THRESHOLD for z in zs.values()),
-            details={"n": n, "d": d, "k": k, **zs,
-                     "reduced_estimate": red.as_dict()}))
+        reports.append(_report(
+            f"kfacet_reduction[n={n},d={d},k={k}]", p, est, zs.values(),
+            {"n": n, "d": d, "k": k, **zs, "reduced_estimate": red.as_dict()}))
     return reports

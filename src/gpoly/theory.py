@@ -188,23 +188,11 @@ def _sign_factor(t, sign: str):
     return ndtr(t if sign == "-" else -t)  # '+': 1 - Phi(t), stably
 
 
-def estranged_integrand(rho1, rho2, w, s1: str, s2: str):
-    """Density kernel for a fixed partition yielding two simultaneous facets.
-
-    exp(-(rho1^2 + rho2^2)/2) * F1(t21) * F2(t12) * sqrt(1 - w^2), where
-    tij is the signed distance of hyperplane i's boundary inside hyperplane
-    j and each F is Phi (sign '-') or 1 - Phi (sign '+').
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(np.abs(w) >= 1.0):
-        raise ValueError("estranged integrand needs |w| < 1")
-    out = _estranged_kernels(np.asarray(rho1, dtype=float),
-                             np.asarray(rho2, dtype=float), w, [(s1, s2)])
-    return float(out[..., 0]) if out.ndim == 1 else out[..., 0]
-
-
 def _estranged_kernels(rho1, rho2, w, signs):
-    """The sign pairs' kernels on a last axis, sharing the sign-free terms."""
+    """Each sign pair's kernel exp(-(rho1^2 + rho2^2)/2) F1(t21) F2(t12)
+    sqrt(1 - w^2) on a last axis, where tij is the signed distance of
+    hyperplane i's boundary inside hyperplane j and each F is Phi (sign '-')
+    or 1 - Phi (sign '+'). The sign-free terms are computed once."""
     sq = np.sqrt(1.0 - w * w)
     t21 = (rho2 - rho1 * w) / sq
     t12 = (rho1 - rho2 * w) / sq

@@ -478,6 +478,12 @@ def test_verify_truncated_bound():
         assert rep.estimate.mean > rep.theory  # bound is loose in practice
 
 
+def test_verify_truncated_bound_refuses_d_before_t():
+    for t in (0.0, -0.5, math.nan):
+        with pytest.raises(ValueError, match="need d >= 2"):
+            ex.verify_truncated_bound(1, t, 10, 0)
+
+
 def test_verify_logconcave_families():
     for family in ex.LOGCONCAVE_FAMILIES:
         rep = ex.verify_logconcave_moment(family, trials=30_000,
@@ -512,6 +518,36 @@ def test_verify_lp_limit_closed_form():
         assert abs(value - closed) <= 1e-9
     assert abs(rep.details["values"][0] - 0.3897) <= 1e-4
     assert abs(rep.details["values"][-1] - limit) <= 0.01
+
+
+@pytest.mark.parametrize("p_values", [[], [0], [-1, 5], [math.nan, 10],
+                                      [10, math.inf]])
+def test_verify_lp_limit_refuses_bad_p_before_quadrature(monkeypatch,
+                                                         p_values):
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(ex, "integrate_1d", no_quadrature)
+    with pytest.raises(ValueError, match="need finite p > 0"):
+        ex.verify_lp_limit(p_values)
+
+
+def test_verdict_rule():
+    def report(zs, **kwargs):
+        return ex._report("check", 0.0, None, zs, {}, **kwargs)
+
+    assert report([-2.0, 2.0]).z == -2.0  # a tie in |z| keeps the first z
+    assert report([2.0, -2.0, 1.0]).z == 2.0
+    assert report([1.0, -3.5]).z == -3.5
+    assert report([3.0, -3.0]).passed  # |z| <= threshold passes
+    assert not report([1.0, -3.5]).passed
+    assert report([1.0, -3.5], passed=True).passed  # passed= overrides
+    assert not report([0.0], passed=False).passed
+    empty = report([])
+    assert empty.z is None and empty.passed
+    assert empty.threshold == ex.Z_THRESHOLD
+    strict = report([0.5], threshold=0.1)
+    assert not strict.passed and strict.threshold == 0.1
 
 
 # -------------------------------------------------------------- growth table

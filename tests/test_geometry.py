@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import ConvexHull
 
 from gpoly import geometry as geo
 from gpoly.mathcore import coordinate_scale, degenerate, signed_volumes
@@ -399,6 +400,49 @@ def test_facet_set_equals_brute_force_list():
     for seed in (5, 6, 7):
         ps = gauss(seed, 8, 3)
         assert sorted(geo.facet_set(ps).facets) == brute_facets(ps.coords)
+
+
+# ---------------------------------------------------------------- hull oracle
+
+def hull_facets(coords):
+    """Independent facet list: Qhull (Barber, Dobkin and Huhdanpaa, 1996),
+    whose simplices are the facets of a simplicial hull."""
+    return sorted(tuple(sorted(int(i) for i in simplex))
+                  for simplex in ConvexHull(coords).simplices)
+
+
+def hull_estranged_pairs(facets):
+    """Disjoint facet pairs, counted on the facet-by-point incidence matrix."""
+    inc = np.zeros((len(facets), max(map(max, facets)) + 1))
+    for row, facet in enumerate(facets):
+        inc[row, list(facet)] = 1.0
+    return int(np.triu(inc @ inc.T == 0, 1).sum())
+
+
+HULL_CASES = [(n, d) for d in range(2, 9)
+              for n in range(d + 1, min(2 * d + 2, 15) + 1)]
+
+
+@pytest.mark.parametrize("n, d", HULL_CASES)
+def test_enumeration_matches_the_hull(n, d):
+    sets = [gaussian_point_set(stream(1000 * d + n, i), n, d)
+            for i in range(8)]
+    e0 = geo.profile_counts(np.stack([ps.coords for ps in sets]))[:, 0]
+    for ps, count in zip(sets, e0):
+        want = hull_facets(ps.coords)
+        fs = geo.facet_set(ps)
+        assert fs.facets == want
+        assert count == len(want)
+        assert geo.estranged_pair_count(fs) == hull_estranged_pairs(want)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, d", [(16, 8), (20, 10)])
+def test_facet_count_matches_the_hull_at_high_d(n, d):
+    block = np.stack([gaussian_point_set(stream(7, i), n, d).coords
+                      for i in range(3)])
+    assert list(geo.profile_counts(block)[:, 0]) == \
+        [len(ConvexHull(coords).simplices) for coords in block]
 
 
 # ----------------------------------------------------------- estranged pairs
