@@ -364,12 +364,28 @@ def verify_truncated_bound(d: int, t: float, trials: int,
 
     Passes when the empirical mean plus 3 standard errors is at least the
     bound (the bound is a one-sided guarantee, not an equality).
+
+    One draw fills a trial's w rows, and the kernel keeps the first d with
+    x_1 <= t; a buffer with fewer is topped up by ``_truncated_coords``.
     """
     bound = theory.truncated_simplex_lower_bound(d)  # refuses d < 2
     if not t >= 0:  # NaN too: no row would pass the rejection test
         raise ValueError(f"need t >= 0, got {t}")
-    est = mc_run(lambda s, row: _truncated_coords(s, row, t), trials,
-                 master_seed, simplex_volume, row_shape=(d, d - 1))
+    phi = 0.5 * math.erfc(-t / math.sqrt(2.0))  # 1 at t = inf
+    w = d + math.ceil(d * (1.0 - phi) / phi + 4.0 * math.sqrt(d) + 4.0)
+
+    def draw(s: RngStream, row: np.ndarray) -> None:
+        s.standard_normal(out=row)
+        keep = row[:, 0] <= t
+        if (kept := np.count_nonzero(keep)) < d:
+            row[:kept] = row[keep]
+            _truncated_coords(s, row[kept:d], t)
+
+    def kernel(rows: np.ndarray) -> np.ndarray:
+        first = np.argsort(rows[..., 0] > t, kind="stable")[:, :d, None]
+        return simplex_volume(np.take_along_axis(rows, first, axis=1))
+
+    est = mc_run(draw, trials, master_seed, kernel, row_shape=(w, d - 1))
     return _report(f"truncated_bound[d={d},t={t}]", bound, est,
                    [_z(est.mean, bound, est.std_error)],
                    {"d": d, "t": t, "one_sided": True},

@@ -222,9 +222,9 @@ def _truncated_coords(s: RngStream, out: np.ndarray, t: float) -> np.ndarray:
     first coordinate is <= t, by rejection; returns ``out``.
 
     Each pass draws the missing rows into place and moves the accepted ones
-    up over the rejected: the draw sizes of drawing the missing rows afresh.
-    With t >= 0 the acceptance probability is Phi(t) >= 1/2, so rejection
-    costs at most one extra draw per point in expectation.
+    up, so ``out`` holds the first accepted rows of the stream, in order, as
+    a fresh draw of the missing rows per pass would; the truncated-bound
+    check calls it only when its one-draw buffer falls short.
     """
     got = 0
     while got < len(out):

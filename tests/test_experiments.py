@@ -7,7 +7,8 @@ from gpoly import experiments as ex
 from gpoly import geometry
 from gpoly import theory as th
 from gpoly.mathcore import simplex_volume
-from gpoly.sampling import RngStream, gaussian_point_set, stream
+from gpoly.sampling import (RngStream, _truncated_coords, gaussian_point_set,
+                            stream)
 
 
 # -------------------------------------------------------------------- mc_run
@@ -476,6 +477,70 @@ def test_verify_truncated_bound():
         rep = ex.verify_truncated_bound(d, t, trials=5000, master_seed=14)
         assert rep.passed
         assert rep.estimate.mean > rep.theory  # bound is loose in practice
+
+
+def _rejection_estimate(d, t, trials, seed):
+    # every trial's d points from the rejection passes alone
+    return ex.mc_run(lambda s, row: _truncated_coords(s, row, t), trials,
+                     seed, simplex_volume, row_shape=(d, d - 1))
+
+
+def _assert_same_estimate(got, want):
+    assert got.mean == want.mean
+    assert got.variance == want.variance
+    assert got.std_error == want.std_error
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+
+    def counted(s, out, t):
+        calls.append(len(out))
+        return _truncated_coords(s, out, t)
+
+    monkeypatch.setattr(ex, "_truncated_coords", counted)
+    return calls
+
+
+@pytest.mark.parametrize("d", range(2, 10))
+@pytest.mark.parametrize("t", [0.0, 0.5, 2.0, 40.0, math.inf])
+def test_truncated_buffer_matches_rejection_draws(d, t):
+    # the first d accepted rows of one buffered draw are the rows the
+    # rejection passes keep, so every statistic is bitwise the same
+    rep = ex.verify_truncated_bound(d, t, trials=700, master_seed=3)
+    _assert_same_estimate(rep.estimate, _rejection_estimate(d, t, 700, 3))
+
+
+def test_truncated_short_buffer_continues_the_stream(monkeypatch):
+    # at t = 0 a few buffers hold fewer than d accepted rows; the fallback
+    # tops them up from where the buffer stopped
+    calls = _count_fallbacks(monkeypatch)
+    rep = ex.verify_truncated_bound(3, 0.0, trials=5000, master_seed=14)
+    assert calls and all(1 <= rows <= 3 for rows in calls)
+    _assert_same_estimate(rep.estimate, _rejection_estimate(3, 0.0, 5000, 14))
+
+
+def test_truncated_bound_draws_once_per_trial(monkeypatch):
+    # one Gaussian fill per trial when no buffer falls short
+    fallbacks = _count_fallbacks(monkeypatch)
+    fills = []
+    draw = RngStream.standard_normal
+
+    def counted(self, size=None, out=None):
+        fills.append(1)
+        return draw(self, size, out)
+
+    monkeypatch.setattr(RngStream, "standard_normal", counted)
+    ex.verify_truncated_bound(5, 2.0, trials=3000, master_seed=9)
+    assert not fallbacks
+    assert len(fills) == 3000
+
+
+def test_truncated_bound_at_infinite_t_equals_no_truncation():
+    # Phi(inf) = 1 gives the buffer width of t = 40, where nothing is rejected
+    for d in (2, 5, 8):
+        inf = ex.verify_truncated_bound(d, math.inf, 2000, 21).estimate
+        assert inf == ex.verify_truncated_bound(d, 40.0, 2000, 21).estimate
 
 
 def test_verify_truncated_bound_refuses_d_before_t():
