@@ -1,19 +1,19 @@
 """Monte Carlo harness and the verification suite.
 
-One chunk routine runs every experiment in three steps, and every
-experiment is a draw plus a block kernel. Draws are per trial: trial i
-fills its row of a preallocated block from the stream keyed by
-(master_seed, i), so any trial can be reproduced in isolation. Kernels are
-per block: the rows of SUB_BLOCK consecutive trials are mapped by one
-vectorised call to one value (or one vector of values) per trial. The
-enumeration kernels pass the whole block of Gaussian point sets to the
-geometry, and a degenerate point set fails as its trial. Statistics are
-per chunk: each CHUNK of trials is reduced to (count, mean, M2) with numpy, and the
-chunk statistics are merged by a pairwise tree in trial-index order
-(Chan, Golub and LeVeque). Runs are single-threaded, and their results
-depend only on the seed and the trial count. The verify_* operations each
-encode one literal inequality or |z| <= 3 agreement test between simulation
-and a closed form.
+One chunk routine runs every experiment in three steps, and every experiment
+is a draw plus a block kernel. Draws are per trial: trial i fills its row of
+a preallocated block from the stream keyed by (master_seed, i), so any trial
+can be reproduced in isolation; one stream rewinds through a sub-block in
+one ``RngStream.fill_rows`` call. Kernels are per block: the rows of
+SUB_BLOCK consecutive trials are mapped by one vectorised call to one value
+(or one vector of values) per trial. The enumeration kernels pass the whole
+block of Gaussian point sets to the geometry, and a degenerate point set
+fails as its trial. Statistics are per chunk: each CHUNK of trials is
+reduced to (count, mean, M2) with numpy, and the chunk statistics are merged
+by a pairwise tree in trial-index order (Chan, Golub and LeVeque). Runs are
+single-threaded, and their results depend only on the seed and the trial
+count. The verify_* operations each encode one literal inequality or
+|z| <= 3 agreement test between simulation and a closed form.
 """
 
 from __future__ import annotations
@@ -91,21 +91,19 @@ def _run_chunk(draw, kernel, width: int, row_shape, master_seed: int,
     """(count, mean, M2) of trials lo..hi-1, each of shape (width,).
 
     Trial i fills its row of a preallocated block from stream(master_seed,
-    i); every SUB_BLOCK rows are mapped by one kernel call. A geometry error
-    names the row of its point set in the block, which makes it a
-    TrialError of that trial.
+    i); every SUB_BLOCK rows are filled by one ``fill_rows`` call and mapped
+    by one kernel call. A geometry error names the row of its point set in
+    the block, which makes it a TrialError of that trial.
     """
     s = RngStream(master_seed, lo)
-    reset, master_seed = s.reset, s.master_seed  # a Python int, for reset
     values = np.empty((hi - lo, width))
     for a in range(lo, hi, SUB_BLOCK):
         b = min(a + SUB_BLOCK, hi)
         rows = np.empty((b - a, *row_shape))
         try:
-            for i, row in zip(range(a, b), rows):
-                draw(reset(master_seed, i), row)
-        except Exception as exc:
-            raise TrialError(i, exc) from exc
+            s.fill_rows(a, rows, draw)
+        except Exception as exc:  # the stream is still keyed by the trial
+            raise TrialError(s.stream_id, exc) from exc
         try:
             out = np.asarray(kernel(rows), dtype=float)
         except geometry.DegeneracyError as err:
@@ -406,17 +404,17 @@ def verify_logconcave_moment(family: str, trials: int,
     if family not in LOGCONCAVE_FAMILIES:
         raise ValueError(f"family must be one of {LOGCONCAVE_FAMILIES}")
 
-    def draw(s: RngStream, row: np.ndarray) -> None:
-        if family == "uniform":
-            row[0] = 2.0 * float(s.uniform()) - 1.0
-        elif family == "gaussian":
-            row[0] = float(s.standard_normal())
-        elif family == "truncated-gaussian":
-            row[0] = -abs(float(s.standard_normal())) + _HALF_NORMAL_MEAN
-        else:
-            row[0] = float(s.generator.laplace())
+    # one draw per trial, which the block kernel shifts onto the family
+    draw, shift = {
+        "uniform": (lambda s, row: s.uniform(out=row), lambda u: 2 * u - 1),
+        "gaussian": (_fill_normal, None),
+        "truncated-gaussian": (_fill_normal,
+                               lambda x: -np.abs(x) + _HALF_NORMAL_MEAN),
+        "laplace": (lambda s, row: row.fill(s.generator.laplace()), None),
+    }[family]
 
     def kernel(x: np.ndarray) -> np.ndarray:
+        x = x if shift is None else shift(x)
         return np.concatenate((np.abs(x), x * x), axis=1)
 
     abs_est, sq_est = mc_run_vector(draw, 2, trials, master_seed, kernel,

@@ -121,7 +121,9 @@ class RngStream:
     statistically independent sequences. ``reset`` rewinds the stream to a
     new key in place, with the draws of a fresh generator of that key: it
     writes the key into a fresh state template (counter zero, buffer empty,
-    no cached 32-bit half) and loads the template into the Philox. Where the
+    no cached 32-bit half) and loads the template into the Philox.
+    ``fill_rows`` rewinds the same way to each row's stream id in turn, so
+    the Monte Carlo driver fills a sub-block of trials in one call. Where the
     one-time check ``_in_place_reset_works`` passes, the load is one copy of
     the state words through ``Philox.ctypes.state_address``; otherwise it
     goes through the ``Philox.state`` setter, which costs several times as
@@ -159,6 +161,15 @@ class RngStream:
         self._key[1] = stream_id & _MASK64
         self._load()
         return self
+
+    def fill_rows(self, first: int, rows, draw) -> None:
+        """``draw(self, rows[j])`` from the key (master_seed, first + j),
+        for each j in order; after an exception the key names its row."""
+        key, load = self._key, self._load
+        for stream_id, row in enumerate(rows, first):
+            key[1] = stream_id
+            load()
+            draw(self, row)
 
     def uniform(self, size=None, out=None):
         return self.generator.random(size, out=out)

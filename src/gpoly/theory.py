@@ -197,8 +197,8 @@ def _estranged_kernels(rho1, rho2, w, signs):
     t21 = (rho2 - rho1 * w) / sq
     t12 = (rho1 - rho2 * w) / sq
     e = np.exp(-0.5 * (rho1 * rho1 + rho2 * rho2))
-    f21 = {s1: _sign_factor(t21, s1) for s1, _ in signs}
-    f12 = {s2: _sign_factor(t12, s2) for _, s2 in signs}
+    f21 = {s1: _sign_factor(t21, s1) for s1 in {s1 for s1, _ in signs}}
+    f12 = {s2: _sign_factor(t12, s2) for s2 in {s2 for _, s2 in signs}}
     return np.stack([e * f21[s1] * f12[s2] * sq for s1, s2 in signs], -1)
 
 
@@ -242,6 +242,12 @@ def dot_density(w, d: int):
     """
     if d < 2:
         raise ValueError("dot-product density needs d >= 2")
+    if isinstance(w, float):  # QUADPACK's scalar calls skip numpy
+        if abs(w) > 1.0:
+            raise ValueError("dot-product density has support [-1, 1]")
+        base = 1.0 - w * w  # 0.0 ** -0.5 raises where numpy gives inf
+        return math.inf if base == 0.0 and d == 2 else \
+            _dot_density_constant(d) * base ** ((d - 3) / 2.0)
     w = np.asarray(w, dtype=float)
     if np.any(np.abs(w) > 1.0):
         raise ValueError("dot-product density has support [-1, 1]")

@@ -285,18 +285,32 @@ def test_verify_exit_1_on_a_failed_check(monkeypatch):
 def test_verify_draws_each_shared_stream_once(monkeypatch):
     # the Gaussian Blaschke and mean-volume checks share one run per d, the
     # thm32 full legs one run per (n, d) and the reduced legs one per n - d
-    plain = RngStream.reset
-    resets = []
+    # (the driver keys one stream per row through RngStream.fill_rows)
+    plain = RngStream.fill_rows
+    rows = []
 
-    def counting(self, master_seed, stream_id):
-        resets.append(stream_id)
-        return plain(self, master_seed, stream_id)
+    def counting(self, first, block, draw):
+        rows.append(len(block))
+        return plain(self, first, block, draw)
 
-    monkeypatch.setattr(RngStream, "reset", counting)
+    monkeypatch.setattr(RngStream, "fill_rows", counting)
     code, _, _ = run_cli(["verify", "--suite", "all", "--trials", "4096",
                           "--seed", "7"])
     assert code == 0
-    assert len(resets) == 170_390
+    assert sum(rows) == 170_390
+
+
+def test_driver_does_not_reset_per_trial(monkeypatch):
+    # the driver rewinds each sub-block inside fill_rows: a reset per trial
+    # is the Python floor that fill_rows exists to avoid
+    def refuse(self, master_seed, stream_id):
+        raise AssertionError("reset called during mc_run")
+
+    monkeypatch.setattr(RngStream, "reset", refuse)
+    est = experiments.mc_run(lambda s, row: s.standard_normal(out=row),
+                             experiments.CHUNK + 3, 5,
+                             lambda b: b.sum(axis=1), row_shape=(2,))
+    assert est.trials == experiments.CHUNK + 3
 
 
 def test_verify_statistics_pinned():

@@ -562,6 +562,34 @@ def test_verify_logconcave_families():
     assert abs(gau.details["ratio"] - math.sqrt(2.0 / math.pi)) <= 0.01
 
 
+def _scalar_logconcave_draw(family):
+    # the per-trial scalar draw the vectorised family table replaced
+    def draw(s, row):
+        if family == "uniform":
+            row[0] = 2.0 * float(s.uniform()) - 1.0
+        elif family == "gaussian":
+            row[0] = float(s.standard_normal())
+        elif family == "truncated-gaussian":
+            row[0] = -abs(float(s.standard_normal())) + ex._HALF_NORMAL_MEAN
+        else:
+            row[0] = float(s.generator.laplace())
+    return draw
+
+
+@pytest.mark.parametrize("family", ex.LOGCONCAVE_FAMILIES)
+def test_logconcave_estimates_match_the_scalar_draw(family):
+    # two chunks, the last partial: the shift in the kernel gives the same
+    # values, bit for bit, as the shift made per trial in Python
+    trials = ex.CHUNK + 700
+    rep = ex.verify_logconcave_moment(family, trials, 23)
+    abs_est, sq_est = ex.mc_run_vector(
+        _scalar_logconcave_draw(family), 2, trials, 23,
+        lambda x: np.concatenate((np.abs(x), x * x), axis=1), row_shape=(1,))
+    assert rep.estimate == abs_est
+    assert rep.details["mean_abs"] == abs_est.mean
+    assert rep.details["mean_sq"] == sq_est.mean
+
+
 def test_verify_logconcave_unknown_family():
     with pytest.raises(ValueError):
         ex.verify_logconcave_moment("exponential", 100, 0)
@@ -572,6 +600,30 @@ def test_verify_dot_density():
         rep = ex.verify_dot_density(d, trials=30_000, master_seed=17)
         assert rep.passed
         assert abs(rep.details["moment2_theory"] - 1.0 / d) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 3, 8])
+def test_dot_density_float_path_matches_the_array_path(d):
+    nodes = []
+
+    def recorded(w):
+        nodes.append(w)
+        return th.dot_density(w, d)
+
+    ex.integrate_1d(lambda w: w * w * recorded(w), -1.0, 1.0, rel_tol=1e-11)
+    ex.integrate_1d(lambda w: w ** 4 * recorded(w), -1.0, 1.0, rel_tol=1e-11)
+    assert nodes and all(type(w) is float for w in nodes)
+    for w in nodes + [0.0, 0.5, -1.0, 1.0]:
+        assert th.dot_density(w, d) == th.dot_density(np.array(w), d), w
+    edge = math.inf if d == 2 else th.dot_density(np.array(1.0), d)
+    assert th.dot_density(1.0, d) == th.dot_density(-1.0, d) == edge
+    # NaN passes through as on the array path (where nan ** 0 is 1, d = 3)
+    assert np.array_equal(th.dot_density(math.nan, d),
+                          th.dot_density(np.array(math.nan), d),
+                          equal_nan=True)
+    for w in (1.0 + 2**-52, -1.5, math.inf):
+        with pytest.raises(ValueError):
+            th.dot_density(w, d)
 
 
 def test_verify_lp_limit_closed_form():

@@ -88,6 +88,45 @@ def test_reset_draws_match_fresh_generators(in_place, resets):
                               fresh.integers(0, 2**32, dtype=np.uint32))
 
 
+@pytest.mark.parametrize("in_place", [True, False])
+def test_fill_rows_matches_per_trial_reset(in_place):
+    # the rows of a block past the first chunk, each drawn after a reset to
+    # its key, on the in-place load and on the state setter load
+    with pytest.MonkeyPatch.context() as mp:
+        if not in_place:
+            mp.setattr(sp, "_in_place_reset_works", lambda: False)
+        s = sp.stream(2**63 + 7, 0)
+        ref = sp.stream(2**63 + 7, 0)
+    assert (s._load.func is not setattr) == in_place
+
+    def draw(st, row):  # a half-used buffer and a cached 32-bit half
+        st.standard_normal(out=row[:3])
+        st.uniform(out=row[3:5])
+        row[5] = st.generator.laplace()
+        row[6] = st.generator.integers(0, 2**32, dtype=np.uint32)
+
+    first = 4096 + 517
+    got = np.empty((40, 7))
+    s.fill_rows(first, got, draw)
+    want = np.empty_like(got)
+    for j, row in enumerate(want):
+        draw(ref.reset(2**63 + 7, first + j), row)
+    assert np.array_equal(got, want)
+    assert (s.master_seed, s.stream_id) == (2**63 + 7, first + 39)
+
+
+def test_fill_rows_leaves_the_failing_row_keyed():
+    def draw(st, row):
+        if st.stream_id == 12:
+            raise RuntimeError("boom")
+        st.standard_normal(out=row)
+
+    s = sp.stream(3, 0)
+    with pytest.raises(RuntimeError):
+        s.fill_rows(10, np.empty((5, 2)), draw)
+    assert s.stream_id == 12
+
+
 def test_layout_check_accepts_this_numpy():
     assert sp._in_place_reset_works()
     assert sp._in_place_reset_works.__wrapped__()
