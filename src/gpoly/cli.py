@@ -56,14 +56,12 @@ class Output(NamedTuple):
 
 
 def _dump_json(payload: dict) -> str:
-    """Strict JSON: numpy values as Python values, non-finite floats as null."""
+    """Strict JSON of Python values, with non-finite floats as null."""
     return json.dumps(_plain(payload), sort_keys=True, indent=2,
                       separators=(",", ": "), allow_nan=False) + "\n"
 
 
 def _plain(value):
-    if hasattr(value, "tolist"):  # a numpy array or scalar
-        value = value.tolist()
     if isinstance(value, dict):
         return {key: _plain(v) for key, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -119,8 +117,6 @@ def _merge_params_file(argv: list[str]) -> list[str]:
         else:
             injected.extend([f"--{key}", value])
     # flags live after the subcommand token; inject right behind it
-    if not rest:
-        return injected
     return rest[:1] + injected + rest[1:]
 
 
@@ -276,7 +272,7 @@ def cmd_estranged(args) -> Output:
     else:
         est = experiments.pair_facet_probability_mc(
             args.d, args.trials, args.seed)
-    root = est.mean ** (1.0 / args.d) if est.mean > 0 else 0.0
+    root = est.mean ** (1.0 / args.d)
     reference = (4.0 if args.mode == "mc" else 1.0) \
         * theory.estranged_constant_reduced().value
     payload = {"command": "estranged", "params": params,

@@ -108,8 +108,7 @@ def _run_chunk(draw, kernel, width: int, row_shape, master_seed: int,
             out = np.asarray(kernel(rows), dtype=float)
         except geometry.DegeneracyError as err:
             raise TrialError(a + err.row, err) from err
-        if out.shape != (b - a, width) and \
-                not (width == 1 and out.shape == (b - a,)):
+        if out.shape != (b - a, width):
             raise ValueError(f"kernel returned shape {out.shape} for "
                              f"{b - a} trials of width {width}")
         values[a - lo:b - lo] = out.reshape(b - a, width)
@@ -163,7 +162,8 @@ def mc_run(draw: Callable[[RngStream, np.ndarray], None], trials: int,
     ``draw(s, row)``, where s is stream(master_seed, i). The kernel maps a
     block of rows of shape (T, *row_shape) to T values.
     """
-    return _run(draw, kernel, 1, row_shape, trials, master_seed)[0]
+    return _run(draw, lambda rows: np.reshape(kernel(rows), (len(rows), 1)),
+                1, row_shape, trials, master_seed)[0]
 
 
 def mc_run_vector(draw: Callable[[RngStream, np.ndarray], None], width: int,

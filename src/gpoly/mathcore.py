@@ -170,7 +170,8 @@ class QuadratureResult:
 
 def integrate_1d(f: Callable[[float], float], a: float, b: float,
                  rel_tol: float = 1e-10) -> QuadratureResult:
-    """Adaptive Gauss-Kronrod quadrature of f over [a, b].
+    """Adaptive Gauss-Kronrod quadrature of f over [a, b], stopped by its
+    relative error estimate alone (rel_tol), however small the integral.
 
     Raises QuadratureError (carrying the best value and error estimate) if
     the subdivision cap is reached before the tolerance is met.
@@ -179,7 +180,7 @@ def integrate_1d(f: Callable[[float], float], a: float, b: float,
         raise ValueError("rel_tol below 1e-13 is not resolvable in float64")
     if not (np.isfinite(a) and np.isfinite(b) and a < b):
         raise ValueError("need finite a < b")
-    out = integrate.quad(f, a, b, epsabs=1e-300, epsrel=rel_tol,
+    out = integrate.quad(f, a, b, epsabs=0.0, epsrel=rel_tol,
                          limit=200, full_output=1)
     value, abs_err, info = out[0], out[1], out[2]
     if len(out) > 3:

@@ -34,12 +34,12 @@ W_EDGE = 1e-9                  # keep sqrt(1 - w^2) away from its zero
 
 @dataclass(frozen=True, eq=False)
 class ConstantResult:
-    """A variational constant: value, argmax coordinates, and diagnostics."""
+    """A variational constant: its context and the maximizer's result."""
 
-    value: float
-    argmax: np.ndarray
     context: dict
     diagnostics: MaximizeResult
+    value = property(lambda self: self.diagnostics.value)
+    argmax = property(lambda self: self.diagnostics.argmax)
 
     def as_record(self, name: str) -> dict:
         return {
@@ -73,13 +73,22 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
     Equals m * C(n-d, k) * sqrt(d / 2 pi) * integral of
     Phi(y)^k (1 - Phi(y))^(n-d-k) exp(-d y^2 / 2), with m = 2 except at the
     balanced layer k = (n-d)/2, where each subset would otherwise be counted
-    for both sides at once. A value outside [0, 1] by more than the scaled
-    error estimate of the quadrature raises QuadratureError.
+    for both sides at once. A scale m C(n-d, k) sqrt(d / 2 pi) past float64
+    raises ValueError before the quadrature. The true value is in (0, 1],
+    so a p of 0 (every node underflowed), or past 1 by more than the scaled
+    error estimate of the quadrature, raises QuadratureError.
     """
     _check_kfacet_inputs(n, d, k)
     m = n - d
     factor = 1.0 if 2 * k == m else 2.0
-    lc = log_binomial(m, k)
+    try:
+        scale = factor * math.exp(log_binomial(m, k)) \
+            * math.sqrt(d / (2.0 * math.pi))
+    except OverflowError:
+        scale = math.inf
+    if scale == math.inf:
+        raise ValueError(f"the scale of p_{k} overflows float64 at n {n}, "
+                         f"d {d}")
 
     def integrand(y: float) -> float:
         log_p, log_q = _log_phi_pair(y)
@@ -87,12 +96,11 @@ def kfacet_probability_exact(n: int, d: int, k: int) -> float:
 
     quad = integrate_1d(integrand, -INTEGRATION_HALF_WIDTH,
                         INTEGRATION_HALF_WIDTH, rel_tol=1e-11)
-    scale = factor * math.exp(lc) * math.sqrt(d / (2.0 * math.pi))
     p, err = scale * quad.value, scale * quad.abs_error_estimate
-    if not -err <= p <= 1.0 + err:
-        raise QuadratureError(f"k-facet probability {p} is outside [0, 1] "
-                              f"by more than {err}", p, err, quad.evaluations)
-    return min(max(p, 0.0), 1.0)
+    if not 0.0 < p <= 1.0 + err:
+        raise QuadratureError(f"k-facet probability {p} is not in (0, 1] "
+                              f"within {err}", p, err, quad.evaluations)
+    return min(p, 1.0)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -110,9 +118,7 @@ def kfacet_log_expectation_exact(n: int, d: int, k: int) -> float:
 
 def kfacet_log_expectation_from_probability(n: int, d: int, p: float) -> float:
     """log(C(n, d) p): the log expected count of subsets that are k-facets
-    with probability p each; -inf when p = 0."""
-    if p == 0.0:
-        return -math.inf
+    with probability p > 0 each."""
     return log_binomial(n, d) + math.log(p)
 
 
@@ -142,10 +148,9 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
     e1, e2 = r * (alpha - 1.0), (1.0 - r) * (alpha - 1.0)
 
     def objective(y: np.ndarray) -> np.ndarray:
-        la = e1 * log_ndtr(y) if e1 != 0.0 else 0.0
-        lb = e2 * log_ndtr(-y) if e2 != 0.0 else 0.0
+        log_f = e1 * log_ndtr(y) + e2 * log_ndtr(-y) - 0.5 * y * y
         # math.exp: np.exp can differ from it in the last bit
-        return np.array([math.exp(v) for v in (la + lb - 0.5 * y * y).tolist()]
+        return np.array([math.exp(v) for v in log_f.tolist()]
                         ) / math.sqrt(2.0 * math.pi)
 
     with np.errstate(over="ignore"):  # an exponent of -inf: checked below
@@ -154,9 +159,7 @@ def c_alpha_r(alpha: float, r: float) -> ConstantResult:
     if not 0.0 < res.value < math.inf:
         raise ValueError(f"c_alpha_r is {res.value} at alpha {alpha}, not "
                          f"a positive finite number")
-    return ConstantResult(value=res.value, argmax=res.argmax,
-                          context={"alpha": alpha, "r": r},
-                          diagnostics=res)
+    return ConstantResult(context={"alpha": alpha, "r": r}, diagnostics=res)
 
 
 def growth_base_kfacet(alpha: float, r: float) -> float:
@@ -212,8 +215,7 @@ def estranged_constants(signs=("--", "+-", "-+", "++")) -> list[ConstantResult]:
     results = maximize_boxes(
         lambda p: _estranged_kernels(p[:, 0], p[:, 1], p[:, 2], signs),
         [(0.0, RHO_MAX), (0.0, RHO_MAX), (-1.0 + W_EDGE, 1.0 - W_EDGE)])
-    return [ConstantResult(value=res.value, argmax=res.argmax,
-                           context={"signs": s1 + s2}, diagnostics=res)
+    return [ConstantResult(context={"signs": s1 + s2}, diagnostics=res)
             for (s1, s2), res in zip(signs, results)]
 
 
@@ -230,8 +232,7 @@ def estranged_constant_reduced() -> ConstantResult:
         return np.exp(-rho * rho) * ndtr(rho * (1.0 - w) / sq) ** 2 * sq
 
     res = maximize_box(batch, [(0.0, RHO_MAX), (-1.0 + W_EDGE, 1.0 - W_EDGE)])
-    return ConstantResult(value=res.value, argmax=res.argmax,
-                          context={"form": "reduced"}, diagnostics=res)
+    return ConstantResult(context={"form": "reduced"}, diagnostics=res)
 
 
 def dot_density(w, d: int):

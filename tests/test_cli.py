@@ -490,6 +490,13 @@ def test_constants_kfacet_alt_exponents_is_gone():
      "overflows float64 at n 1200, d 600"),
     ("kfacets reduced --n 1200 --d 600 --k 0 --trials 2",
      "C(n, d) overflows float64 at n 1200, d 600"),
+    # the scale 2 C(n-d, k) sqrt(d / 2 pi) of p_k, before its quadrature
+    ("kfacets exact --n 1129 --d 100 --k 514",
+     "the scale of p_514 overflows float64 at n 1129, d 100"),
+    ("kfacets exact --n 1101 --d 1 --k 550",
+     "the scale of p_550 overflows float64 at n 1101, d 1"),
+    ("growth --alpha 2 --d-min 3 --d-max 2", "need d-max >= d-min"),
+    ("kfacets exact --params no-such.params", "cannot read params file"),
 ])
 def test_usage_errors_return_2_with_one_message(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
@@ -527,6 +534,24 @@ def test_failed_run_returns_3_with_one_message(monkeypatch, capsys, module,
     assert err == f"gpoly: error: {message}\n"
 
 
+def test_kfacets_exact_refuses_a_probability_that_underflowed(capsys):
+    # every quadrature node misses the narrow peak of the integrand, so the
+    # quadrature returns 0; the true p_216 is about 0.00182
+    assert cli.main("kfacets exact --n 1101 --d 1 --k 216".split()) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("gpoly: error: k-facet probability 0.0 is not in")
+    assert err.count("\n") == 1
+
+
+def test_out_under_a_missing_directory_is_an_io_error(tmp_path):
+    code, out, err = run_cli(["kfacets", "exact", "--d", "1", "--n", "3",
+                              "--k", "0", "--out",
+                              str(tmp_path / "missing" / "o.json")])
+    assert code == 1 and out == ""
+    assert err.startswith("gpoly: I/O error: ") and err.count("\n") == 1
+
+
 def test_params_file_merging(tmp_path):
     params = tmp_path / "run.params"
     params.write_text("d=1\nn=3\nk=0\n# a comment\ntrials=500\n")
@@ -538,6 +563,13 @@ def test_params_file_merging(tmp_path):
                                    "--n", "4"])
     assert code == 0
     assert json.loads(overridden)["params"]["n"] == 4
+    # key=true is a bare flag, and a key=false line is left out
+    params.write_text("d=1\nn=3\nall-k=true\n")
+    code, out, _ = run_cli(["kfacets", "exact", "--params", str(params)])
+    assert code == 0 and json.loads(out)["params"]["all_k"] is True
+    params.write_text("d=1\nn=3\nk=0\nall-k=false\n")
+    code, out, _ = run_cli(["kfacets", "exact", "--params", str(params)])
+    assert code == 0 and json.loads(out)["params"]["all_k"] is False
 
 
 def test_console_script_entry_point():

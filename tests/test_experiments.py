@@ -83,6 +83,9 @@ def test_mc_run_kernel_shape_checked():
     with pytest.raises(ValueError):
         ex.mc_run_vector(ex._fill_normal, 3, trials=10, master_seed=0,
                          kernel=lambda block: block, row_shape=(2,))
+    with pytest.raises(ValueError):  # two values a trial, for one
+        ex.mc_run(ex._fill_normal, trials=10, master_seed=0,
+                  kernel=lambda block: block, row_shape=(2,))
 
 
 def test_mc_run_vector_matches_scalar_runs():

@@ -599,6 +599,16 @@ def test_general_position_finds_the_one_coplanar_set_of_40_points():
     assert (err.value.point_index, err.value.subset) == (33, (5, 17, 29))
 
 
+def test_general_position_with_no_more_points_than_dimensions():
+    # n <= d: the one subset, all n points, by the rule of degenerate alone
+    rep = geo.general_position_check(gauss(5, 3, 3))
+    assert rep == geo.GeneralPositionReport(True, [], 1)
+    coords = gauss(5, 3, 3).coords.copy()
+    coords[2] = 2.0 * coords[1] - coords[0]  # on the line of points 0 and 1
+    rep = geo.general_position_check(PointSet.from_coords(coords))
+    assert rep == geo.GeneralPositionReport(False, [(0, 1, 2)], 1)
+
+
 def test_general_position_refuses_a_negative_max_reported():
     # [:-1] would drop the last violation and report passed=False with none
     with pytest.raises(ValueError, match="max_reported"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special
+from scipy import integrate, special
 from scipy.stats import norm
 
 from gpoly import mathcore as mc
@@ -105,12 +105,50 @@ def test_kfacet_log_expectation_consistency():
 
 
 def test_kfacet_probability_sum_identity():
-    # summing the per-subset probability over k double-counts each subset
-    for n, d in ((5, 2), (6, 3), (8, 1), (9, 4)):
-        assert (n - d) % 2 == 1
-        total = sum(th.kfacet_probability_exact(n, d, k)
-                    for k in range(n - d + 1))
-        assert abs(total - 2.0) <= 1e-6
+    # summing the per-subset probability over k double-counts each subset;
+    # the balanced layer of an even n - d counts each of its subsets once.
+    # At (1021, 1) the integrals fall below 1e-300 for most k.
+    for n, d in ((5, 2), (6, 3), (8, 1), (9, 4), (1021, 1)):
+        ps = [th.kfacet_probability_exact(n, d, k) for k in range(n - d + 1)]
+        balanced = ps[(n - d) // 2] if (n - d) % 2 == 0 else 0.0
+        assert abs(sum(ps) + balanced - 2.0) <= 1e-6
+
+
+def kfacet_probability_scale_free(n, d, k):
+    """p_k with log C(n-d, k) inside the exponent, so the integrand is of
+    order 1 at its peak, and no absolute error floor (epsabs = 0)."""
+    m = n - d
+    lc = mc.log_binomial(m, k)
+    ys = np.linspace(-th.INTEGRATION_HALF_WIDTH, th.INTEGRATION_HALF_WIDTH,
+                     4801)
+    peak = ys[np.argmax(k * special.log_ndtr(ys)
+                        + (m - k) * special.log_ndtr(-ys) - 0.5 * d * ys * ys)]
+
+    def integrand(y):
+        return math.exp(lc + k * special.log_ndtr(y)
+                        + (m - k) * special.log_ndtr(-y) - 0.5 * d * y * y)
+
+    value = integrate.quad(integrand, -th.INTEGRATION_HALF_WIDTH,
+                           th.INTEGRATION_HALF_WIDTH, points=[float(peak)],
+                           epsabs=0.0, epsrel=1e-12, limit=400)[0]
+    return (1.0 if 2 * k == m else 2.0) * math.sqrt(d / (2.0 * math.pi)) \
+        * value
+
+
+@pytest.mark.parametrize("m", [990, 1020, 1028, 1100])
+@pytest.mark.parametrize("d", [1, 100])
+def test_kfacet_probability_is_exact_or_raises_at_large_n(m, d):
+    # past n - d of about 990 the integral without C(n-d, k) falls below
+    # 1e-300, and past about 1030 C(n-d, k) itself overflows float64
+    returned = 0
+    for k in range(0, m + 1, m // 60):
+        try:
+            p = th.kfacet_probability_exact(m + d, d, k)
+        except (ValueError, mc.QuadratureError):
+            continue
+        assert abs(p - kfacet_probability_scale_free(m + d, d, k)) <= 1e-9
+        returned += 1
+    assert returned >= 20
 
 
 def kfacet_probability_two_calls(n, d, k):
